@@ -14,8 +14,7 @@ import argparse
 import time
 
 from relfrob import enumerate_classical_structures, enumerate_special_frobenius
-
-SPECIAL_MAX = 8  # the built-in non-abelian tables stop at order 8
+from relfrob.classify import SPECIAL_ENUM_LIMIT
 
 
 def main() -> int:
@@ -30,7 +29,7 @@ def main() -> int:
     start = time.perf_counter()
     for n in range(args.max_n + 1):
         classical = len(enumerate_classical_structures(n))
-        if n <= SPECIAL_MAX:
+        if n <= SPECIAL_ENUM_LIMIT:
             special = str(len(enumerate_special_frobenius(n)))
         else:
             special = "-"
@@ -39,7 +38,7 @@ def main() -> int:
 
     if args.list_n is not None:
         n = args.list_n
-        specs = (enumerate_special_frobenius(n) if n <= SPECIAL_MAX
+        specs = (enumerate_special_frobenius(n) if n <= SPECIAL_ENUM_LIMIT
                  else enumerate_classical_structures(n))
         print(f"\nstructures on {n} points:")
         for spec in specs:

@@ -5,29 +5,31 @@ enumerate them up to relabeling, search for them exhaustively, and take
 them apart into group blocks again.
 """
 
-from .analysis import (DecompositionResult, PreconditionError, QuantumStructure,
-                       check_duality, classical_elements, comonoid_subobjects,
-                       decompose, is_partial_bijection, quantum_structure,
-                       represent, star)
+from .analysis import (DecompositionError, DecompositionResult, PreconditionError,
+                       QuantumStructure, check_duality, classical_elements,
+                       comonoid_subobjects, decompose, is_partial_bijection,
+                       quantum_structure, represent, star)
 from .classify import (BudgetExceededError, CrossValidation, SearchConfig,
                        brute_force_search, cross_validate,
                        enumerate_classical_structures, enumerate_special_frobenius,
-                       partitions, quotient_by_iso)
+                       quotient_by_iso)
 from .files import (StructureParseError, load_structure, parse_structure,
                     render_structure, save_structure)
 from .frobenius import (AxiomReport, FrobeniusCandidate, FroWitness, Verdict,
-                        check_fro_pointwise, frobenius_sets_at, verify_structure)
+                        check_fro_pointwise, frobenius_sets_at, satisfies_axioms,
+                        verify_structure)
 from .groups import (BUILTIN_NONABELIAN, AbelianGroupSpec, GroupSpec, StructureSpec,
                      abelian_table, are_isomorphic, build_biproduct,
                      build_group_structure, element_orders,
                      enumerate_abelian_groups, identify_group,
                      invariant_factors_of_table, normalize_invariant_factors,
-                     parse_structure_spec)
+                     parse_structure_spec, partitions)
 from .rel import Rel, bits, identity, swap, vector
 
 __all__ = [
     "AbelianGroupSpec", "AxiomReport", "BUILTIN_NONABELIAN", "BudgetExceededError",
-    "CrossValidation", "DecompositionResult", "FroWitness", "FrobeniusCandidate",
+    "CrossValidation", "DecompositionError", "DecompositionResult", "FroWitness",
+    "FrobeniusCandidate",
     "GroupSpec", "PreconditionError", "QuantumStructure", "Rel", "SearchConfig",
     "StructureParseError", "StructureSpec", "Verdict", "abelian_table",
     "are_isomorphic", "bits", "build_biproduct", "build_group_structure",
@@ -38,6 +40,7 @@ __all__ = [
     "frobenius_sets_at", "identity", "identify_group", "invariant_factors_of_table",
     "is_partial_bijection", "load_structure", "normalize_invariant_factors",
     "parse_structure", "parse_structure_spec", "partitions", "quantum_structure",
-    "quotient_by_iso", "render_structure", "represent", "save_structure", "star",
+    "quotient_by_iso", "render_structure", "represent", "satisfies_axioms",
+    "save_structure", "star",
     "swap", "vector", "verify_structure", "brute_force_search",
 ]

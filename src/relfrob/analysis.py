@@ -3,9 +3,9 @@
 The copyable subsets of a structure (its classical elements) are found by
 plain brute force over all subsets rather than by trusting any theorem;
 ``decompose`` then recovers the block partition from the unit subset and
-checks, with assertions, that the blocks really are groups.  Internal
-assertion failures here mean a bug, not bad input: every candidate is run
-through the axiom checker first.
+checks that the blocks really are groups, raising ``DecompositionError``
+when they are not.  Every candidate is run through the axiom checker first
+(once: the report is cached on the candidate).
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ SUBOBJECT_BIT_LIMIT = 24
 
 class PreconditionError(ValueError):
     """The input structure fails an axiom the operation relies on."""
+
+
+class DecompositionError(RuntimeError):
+    """A verified structure whose blocks are not groups (a groupoid, say)."""
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,7 @@ def decompose(c: FrobeniusCandidate) -> DecompositionResult:
     Accepts non-commutative structures; commutativity is the one axiom not
     required.  Each unit element spans the block on which it acts as
     identity; the blocks must partition the carrier and each restricted
-    multiplication must be a total group operation, else an assertion
-    fires (that would be a bug, not bad input).
+    multiplication must be a total group operation, else DecompositionError.
     """
     _require(c, commutative=False, what="decompose")
     n = c.n
@@ -152,12 +155,12 @@ def decompose(c: FrobeniusCandidate) -> DecompositionResult:
     for e in sorted(c.bot):
         action = represent(c, frozenset({e}))
         members = sorted(x for x in range(n) if action.row(x) == 1 << x)
-        assert members, f"unit {e} spans no block"
-        assert e in members, f"unit {e} outside its own block"
-        assert not seen & set(members), f"block of unit {e} overlaps an earlier block"
+        _expect(members, f"unit {e} spans no block")
+        _expect(e in members, f"unit {e} outside its own block")
+        _expect(not seen & set(members), f"block of unit {e} overlaps an earlier block")
         seen.update(members)
         blocks.append((e, members))
-    assert seen == set(range(n)), "blocks do not cover the carrier"
+    _expect(seen == set(range(n)), "blocks do not cover the carrier")
 
     out = []
     spec_blocks = []
@@ -169,16 +172,16 @@ def decompose(c: FrobeniusCandidate) -> DecompositionResult:
             row = []
             for y in members:
                 vals = c.product(x, y)
-                assert len(vals) == 1, f"product {x}*{y} not single-valued in block"
+                _expect(len(vals) == 1, f"product {x}*{y} not single-valued in block")
                 (z,) = vals
-                assert z in index, f"product {x}*{y} leaves its block"
+                _expect(z in index, f"product {x}*{y} leaves its block")
                 row.append(index[z])
             table.append(tuple(row))
         for x in members:
             for y in range(n):
                 if y not in index:
-                    assert not c.product(x, y), f"cross-block product {x}*{y} defined"
-                    assert not c.product(y, x), f"cross-block product {y}*{x} defined"
+                    _expect(not c.product(x, y), f"cross-block product {x}*{y} defined")
+                    _expect(not c.product(y, x), f"cross-block product {y}*{x} defined")
         table = tuple(table)
         group: AbelianGroupSpec | GroupSpec
         if all(table[a][b] == table[b][a] for a in range(m) for b in range(a + 1, m)):
@@ -188,6 +191,11 @@ def decompose(c: FrobeniusCandidate) -> DecompositionResult:
         out.append((frozenset(members), group))
         spec_blocks.append(group)
     return DecompositionResult(tuple(out), StructureSpec(tuple(spec_blocks)))
+
+
+def _expect(ok: object, message: str) -> None:
+    if not ok:
+        raise DecompositionError(message)
 
 
 def comonoid_subobjects(c: FrobeniusCandidate, m: int) -> list[Rel]:

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
-from .frobenius import FrobeniusCandidate, verify_structure
+from .frobenius import FrobeniusCandidate, satisfies_axioms
 from .groups import (AbelianGroupSpec, StructureSpec, enumerate_abelian_groups,
-                     nonabelian_groups_of_order)
+                     nonabelian_groups_of_order, partitions)
 
 SEARCH_CARRIER_LIMIT = 4
 QUOTIENT_CARRIER_LIMIT = 6
@@ -24,26 +24,6 @@ SPECIAL_ENUM_LIMIT = 8
 
 _UNASSIGNED = -2
 _UNDEF = -1
-
-
-def partitions(n: int) -> list[tuple[int, ...]]:
-    """Integer partitions of n, parts non-increasing, reverse-lexicographic.
-
-    partitions(0) is [()]: the empty carrier has the empty partition.
-    """
-    if n < 0:
-        raise ValueError(f"cannot partition {n}")
-    out: list[tuple[int, ...]] = []
-
-    def rec(left: int, cap: int, prefix: tuple[int, ...]):
-        if left == 0:
-            out.append(prefix)
-            return
-        for k in range(min(left, cap), 0, -1):
-            rec(left - k, k, prefix + (k,))
-
-    rec(n, n, ())
-    return out
 
 
 def _structures_from_choices(n: int, choices_per_order) -> list[StructureSpec]:
@@ -199,9 +179,7 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
         triples = [(i, j, table[i][j]) for i in range(n) for j in range(n)
                    if table[i][j] >= 0]
         cand = FrobeniusCandidate.from_triples(n, triples, bot)
-        report = verify_structure(cand)
-        keep = report.is_classical if cfg.require_commutative else report.is_special_frobenius
-        if keep:
+        if satisfies_axioms(cand, cfg.require_commutative):
             found.append(cand)
 
     def descend(k: int):

@@ -5,8 +5,9 @@ decompose, quantum, elements, subobjects, cross-validate.  ``--format
 machine`` switches every report to one JSON document on stdout with sorted
 keys, so output is byte-stable across runs.
 
-Exit codes: 0 success, 1 axiom failure or cross-validation mismatch,
-2 usage, parse, or bound errors.
+Exit codes: 0 success; 1 axiom failure, cross-validation mismatch, exhausted
+search budget, or a structure that does not decompose into groups; 2 usage,
+parse, or bound errors, including a carrier above ``CARRIER_LIMIT``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import argparse
 import json
 import sys
 
-from .analysis import (PreconditionError, check_duality, classical_elements,
-                       comonoid_subobjects, decompose, quantum_structure)
+from .analysis import (DecompositionError, PreconditionError, check_duality,
+                       classical_elements, comonoid_subobjects, decompose,
+                       quantum_structure)
 from .classify import (BudgetExceededError, SearchConfig, brute_force_search,
                        cross_validate, enumerate_classical_structures,
                        enumerate_special_frobenius, quotient_by_iso)
@@ -307,7 +309,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc} ({len(exc.found)} candidates found so far)", file=sys.stderr)
         return 1
-    except PreconditionError as exc:
+    except (PreconditionError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

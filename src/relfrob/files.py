@@ -9,14 +9,15 @@ One datum per line so files diff cleanly:
     nabla 0 1 1
     ...
 
-``n`` must appear exactly once.  Every ``nabla`` line is one triple
-(x, y, z) meaning z is a value of x*y; duplicate triples and duplicate
-unit elements are rejected.  Parse errors carry the offending line number.
+``n`` must appear exactly once, at most ``CARRIER_LIMIT``.  Every ``nabla``
+line is one triple (x, y, z) meaning z is a value of x*y; duplicate triples
+and duplicate unit elements are rejected.  Parse errors carry the offending
+line number.
 """
 
 from __future__ import annotations
 
-from .frobenius import FrobeniusCandidate
+from .frobenius import CARRIER_LIMIT, FrobeniusCandidate
 
 
 class StructureParseError(ValueError):
@@ -48,6 +49,9 @@ def parse_structure(text: str) -> FrobeniusCandidate:
                 raise StructureParseError(lineno, "repeated n line")
             if len(values) != 1 or values[0] < 0:
                 raise StructureParseError(lineno, "n takes one non-negative integer")
+            if values[0] > CARRIER_LIMIT:
+                raise StructureParseError(
+                    lineno, f"carrier size {values[0]} exceeds the limit {CARRIER_LIMIT}")
             n = values[0]
         elif field == "nabla":
             if len(values) != 3:

@@ -12,20 +12,35 @@ composing the three relation diagrams and comparing them row by row, and
 once pointwise from the partial-operation reading of the multiplication.
 The two verdicts must be structurally identical; a discrepancy indicates a
 bug in one of the routes.
+
+Every composite is a lazy stream of bit rows.  No tensor is built: the
+whiskers ``Rel.whisker_right`` and ``Rel.whisker_left`` read each row of
+(r ⊗ id) >> s and (id ⊗ r) >> s straight off the rows of s.
+``verify_structure`` drains the streams into a report cached on the
+candidate; ``satisfies_axioms`` stops at the first violating row and never
+runs the pointwise route.  The pointwise route works from dicts of products
+indexed by value and shares no code with the bit rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, tee
+from operator import ne
 from typing import Iterable, Iterator
 
-from .rel import Rel, bits, identity, swap, vector
+from .rel import Rel, bits, identity, vector
+
+
+# Largest carrier accepted from structure files and group specs.  Verifying
+# the cyclic group at this size takes a few seconds (README, "Bounds").
+CARRIER_LIMIT = 128
 
 
 class FrobeniusCandidate:
     """A multiplication relation and unit subset over carrier {0..n-1}."""
 
-    __slots__ = ("n", "nabla", "bot", "delta", "top", "bot_vec")
+    __slots__ = ("n", "nabla", "bot", "delta", "top", "bot_vec", "_report")
 
     def __init__(self, n: int, nabla: Rel, bot: Iterable[int]):
         if nabla.dom != n * n or nabla.cod != n:
@@ -37,6 +52,7 @@ class FrobeniusCandidate:
         self.bot_vec = vector(n, self.bot)
         self.delta = nabla.converse()
         self.top = self.bot_vec.converse()
+        self._report: AxiomReport | None = None  # filled by verify_structure
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, int]],
@@ -138,15 +154,71 @@ class AxiomReport:
         yield "frobenius-pointwise", self.frobenius_pointwise
 
 
-def _decode_pairs(row: int, n: int) -> frozenset[tuple[int, int]]:
-    return frozenset(divmod(b, n) for b in bits(row))
+def _mismatches(got: Iterable[int], want: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(index, got row, wanted row) wherever two row streams differ, lazily."""
+    (got, got2), (want, want2) = tee(got), tee(want)
+    return compress(zip(count(), got, want), map(ne, got2, want2))
 
 
-def _check_identity(got: Rel, n: int) -> Verdict:
-    for x in range(n):
-        if got.row(x) != 1 << x:
-            return Verdict(False, (x, frozenset(bits(got.row(x)))))
-    return Verdict(True)
+# Each axiom below is a generator of its composite route's violations in
+# row order; witness shapes are those documented on verify_structure.
+
+def _associativity(c: FrobeniusCandidate) -> Iterator[tuple]:
+    n, nab = c.n, c.nabla
+    lhs = nab.whisker_right_rows(n, nab)  # (nabla ⊗ id) >> nabla
+    rhs = nab.whisker_left_rows(n, nab)   # (id ⊗ nabla) >> nabla
+    for p, left, right in _mismatches(lhs, rhs):
+        a, bc = divmod(p, n * n)
+        yield (a, *divmod(bc, n), frozenset(bits(left)), frozenset(bits(right)))
+
+
+def _identity_violations(rows: Iterable[int], n: int) -> Iterator[tuple]:
+    for x, got, _ in _mismatches(rows, identity(n).rows):
+        yield x, frozenset(bits(got))
+
+
+def _left_unit(c: FrobeniusCandidate) -> Iterator[tuple]:  # (bot ⊗ id) >> nabla
+    return _identity_violations(c.bot_vec.whisker_right_rows(c.n, c.nabla), c.n)
+
+
+def _right_unit(c: FrobeniusCandidate) -> Iterator[tuple]:  # (id ⊗ bot) >> nabla
+    return _identity_violations(c.bot_vec.whisker_left_rows(c.n, c.nabla), c.n)
+
+
+def _special(c: FrobeniusCandidate) -> Iterator[tuple]:  # delta >> nabla
+    return _identity_violations((c.delta >> c.nabla).rows, c.n)
+
+
+def _commutativity(c: FrobeniusCandidate) -> Iterator[tuple]:
+    n, rows = c.n, c.nabla.rows
+    swapped = (rows[j * n + i] for i in range(n) for j in range(n))  # swap >> nabla
+    for p, got, want in _mismatches(swapped, rows):
+        yield (*divmod(p, n), frozenset(bits(got)), frozenset(bits(want)))
+
+
+def _interchange(c: FrobeniusCandidate) -> Iterator[tuple]:
+    """(i, j, fiber, split-left, split-right) rows where the three differ."""
+    n, nab, delta = c.n, c.nabla, c.delta
+    fiber = (nab >> delta).rows
+    split_left = delta.whisker_right_rows(n, nab, n)  # (delta ⊗ id) >> (id ⊗ nabla)
+    split_right = delta.whisker_left_rows(n, nab, n)  # (id ⊗ delta) >> (nabla ⊗ id)
+    for p, rf, rl, rr in zip(count(), fiber, split_left, split_right):
+        if not rf == rl == rr:
+            yield (*divmod(p, n), rf, rl, rr)
+
+
+def _first(violations: Iterator[tuple]) -> Verdict:
+    witness = next(violations, None)
+    return Verdict(True) if witness is None else Verdict(False, witness)
+
+
+def _interchange_verdict(c: FrobeniusCandidate) -> Verdict:
+    bad = list(_interchange(c))
+    if not bad:
+        return Verdict(True)
+    i, j, *routes = bad[0]
+    sets = (frozenset(divmod(b, c.n) for b in bits(row)) for row in routes)
+    return Verdict(False, FroWitness(i, j, *sets), tuple((i, j) for i, j, *_ in bad))
 
 
 def verify_structure(c: FrobeniusCandidate) -> AxiomReport:
@@ -155,107 +227,64 @@ def verify_structure(c: FrobeniusCandidate) -> AxiomReport:
     Witness shapes: associativity (a, b, c, lhs, rhs); unit laws
     (x, got-set); commutativity (i, j, swapped, straight); special
     (x, got-set); frobenius a FroWitness plus the full tuple of violating
-    (i, j) pairs.
+    (i, j) pairs.  The report is computed once per candidate and cached
+    on it.
     """
+    if c._report is None:
+        c._report = AxiomReport(
+            n=c.n,
+            associativity=_first(_associativity(c)),
+            left_unit=_first(_left_unit(c)),
+            right_unit=_first(_right_unit(c)),
+            commutativity=_first(_commutativity(c)),
+            special=_first(_special(c)),
+            frobenius=_interchange_verdict(c),
+            frobenius_pointwise=check_fro_pointwise(c) if c.is_single_valued() else None,
+            empty_carrier=(c.n == 0),
+        )
+    return c._report
+
+
+def satisfies_axioms(c: FrobeniusCandidate, commutative: bool = True) -> bool:
+    """The report's ``is_classical`` (``is_special_frobenius`` when not
+    commutative), from the composite routes alone: cheapest axiom first, up
+    to the first violating row, with no report built unless one is cached.
+    """
+    if c._report is not None:
+        return c._report.is_classical if commutative else c._report.is_special_frobenius
+    routes = [_special, _left_unit, _right_unit, _interchange, _associativity]
+    if commutative:
+        routes.insert(3, _commutativity)
+    return all(next(route(c), None) is None for route in routes)
+
+
+def _pointwise_index(c: FrobeniusCandidate) -> tuple[list, list, dict]:
+    """The partial operation as dicts: rows[x][y] and cols[y][x] hold x*y,
+    and fibers[z] is the set of pairs multiplying to z."""
     n = c.n
-    idn = identity(n)
-    nab, delta = c.nabla, c.delta
-
-    lhs = nab.tensor(idn) >> nab
-    rhs = idn.tensor(nab) >> nab
-    assoc = Verdict(True)
-    for p in range(n * n * n):
-        if lhs.row(p) != rhs.row(p):
-            a, bc = divmod(p, n * n)
-            b, cc = divmod(bc, n)
-            assoc = Verdict(False, (a, b, cc,
-                                    frozenset(bits(lhs.row(p))),
-                                    frozenset(bits(rhs.row(p)))))
-            break
-
-    left_unit = _check_identity(c.bot_vec.tensor(idn) >> nab, n)
-    right_unit = _check_identity(idn.tensor(c.bot_vec) >> nab, n)
-
-    swapped = swap(n, n) >> nab
-    comm = Verdict(True)
-    for p in range(n * n):
-        if swapped.row(p) != nab.row(p):
-            i, j = divmod(p, n)
-            comm = Verdict(False, (i, j,
-                                   frozenset(bits(swapped.row(p))),
-                                   frozenset(bits(nab.row(p)))))
-            break
-
-    special = _check_identity(delta >> nab, n)
-
-    fro = _check_fro_composite(c)
-    fro_pointwise = check_fro_pointwise(c) if c.is_single_valued() else None
-
-    return AxiomReport(
-        n=n,
-        associativity=assoc,
-        left_unit=left_unit,
-        right_unit=right_unit,
-        commutativity=comm,
-        special=special,
-        frobenius=fro,
-        frobenius_pointwise=fro_pointwise,
-        empty_carrier=(n == 0),
-    )
-
-
-def _check_fro_composite(c: FrobeniusCandidate) -> Verdict:
-    """Interchange law via relation composition of the three diagrams."""
-    n = c.n
-    idn = identity(n)
-    nab, delta = c.nabla, c.delta
-    fiber_route = nab >> delta
-    split_left_route = delta.tensor(idn) >> idn.tensor(nab)
-    split_right_route = idn.tensor(delta) >> nab.tensor(idn)
-
-    violations = []
-    witness = None
-    for p in range(n * n):
-        rf = fiber_route.row(p)
-        rl = split_left_route.row(p)
-        rr = split_right_route.row(p)
-        if not (rf == rl == rr):
-            i, j = divmod(p, n)
-            violations.append((i, j))
-            if witness is None:
-                witness = FroWitness(i, j, _decode_pairs(rf, n),
-                                     _decode_pairs(rl, n), _decode_pairs(rr, n))
-    if witness is None:
-        return Verdict(True)
-    return Verdict(False, witness, tuple(violations))
-
-
-def _partial_products(c: FrobeniusCandidate) -> dict[tuple[int, int], int]:
-    n = c.n
-    prods = {}
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    cols: list[dict[int, int]] = [{} for _ in range(n)]
+    fibers: dict[int, set[tuple[int, int]]] = {}
     for p, row in enumerate(c.nabla.rows):
         if row == 0:
             continue
+        x, y = divmod(p, n)
         if row & (row - 1):
-            x, y = divmod(p, n)
             raise ValueError(
                 f"multiplication is not single-valued at ({x}, {y}): "
                 f"values {sorted(bits(row))}")
-        prods[divmod(p, n)] = row.bit_length() - 1
-    return prods
+        rows[x][y] = cols[y][x] = z = row.bit_length() - 1
+        fibers.setdefault(z, set()).add((x, y))
+    return rows, cols, {z: frozenset(pairs) for z, pairs in fibers.items()}
 
 
-def _sets_at(prods: dict[tuple[int, int], int], i: int, j: int) -> FroWitness:
-    fiber: set = set()
-    if (i, j) in prods:
-        v = prods[(i, j)]
-        fiber = {pair for pair, z in prods.items() if z == v}
-    split_left = {(x, prods[(yp, j)])
-                  for (x, yp), z in prods.items() if z == i and (yp, j) in prods}
-    split_right = {(prods[(i, xp)], y)
-                   for (xp, y), z in prods.items() if z == j and (i, xp) in prods}
-    return FroWitness(i, j, frozenset(fiber), frozenset(split_left),
-                      frozenset(split_right))
+def _sets_at(index: tuple[list, list, dict], i: int, j: int) -> tuple[frozenset, set, set]:
+    # each set costs the size of one fiber, not a scan of the table
+    rows, cols, fibers = index
+    fiber = fibers[rows[i][j]] if j in rows[i] else frozenset()
+    split_left = {(x, cols[j][yp]) for x, yp in fibers.get(i, ()) if yp in cols[j]}
+    split_right = {(rows[i][xp], y) for xp, y in fibers.get(j, ()) if xp in rows[i]}
+    return fiber, split_left, split_right
 
 
 def frobenius_sets_at(c: FrobeniusCandidate, i: int, j: int) -> FroWitness:
@@ -264,7 +293,7 @@ def frobenius_sets_at(c: FrobeniusCandidate, i: int, j: int) -> FroWitness:
     Requires a single-valued multiplication.  Entries with undefined
     products are dropped, mirroring what the relational composites do.
     """
-    return _sets_at(_partial_products(c), i, j)
+    return FroWitness(i, j, *map(frozenset, _sets_at(_pointwise_index(c), i, j)))
 
 
 def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
@@ -274,17 +303,14 @@ def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
     the offending input pair.  The verdict mirrors the composite check
     exactly: same witness, same violation tuple.
     """
-    prods = _partial_products(c)  # raises, naming the pair, when multi-valued
+    index = _pointwise_index(c)  # raises, naming the pair, when multi-valued
     n = c.n
     violations = []
-    witness = None
     for i in range(n):
         for j in range(n):
-            w = _sets_at(prods, i, j)
-            if not (w.fiber == w.split_left == w.split_right):
+            fiber, split_left, split_right = _sets_at(index, i, j)
+            if not fiber == split_left == split_right:
                 violations.append((i, j))
-                if witness is None:
-                    witness = w
-    if witness is None:
+    if not violations:
         return Verdict(True)
-    return Verdict(False, witness, tuple(violations))
+    return Verdict(False, frobenius_sets_at(c, *violations[0]), tuple(violations))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import prod
 
-from .frobenius import FrobeniusCandidate
+from .frobenius import CARRIER_LIMIT, FrobeniusCandidate
 from .rel import Rel
 
 
@@ -226,15 +226,24 @@ def normalize_invariant_factors(cyclic_orders) -> AbelianGroupSpec:
     return AbelianGroupSpec(tuple(sorted(factors)))
 
 
-def _exponent_partitions(e: int, cap: int | None = None):
-    if cap is None:
-        cap = e
-    if e == 0:
-        yield ()
-        return
-    for k in range(min(e, cap), 0, -1):
-        for rest in _exponent_partitions(e - k, k):
-            yield (k,) + rest
+def partitions(n: int) -> list[tuple[int, ...]]:
+    """Integer partitions of n, parts non-increasing, reverse-lexicographic.
+
+    partitions(0) is [()]: the empty carrier has the empty partition.
+    """
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+    out: list[tuple[int, ...]] = []
+
+    def rec(left: int, cap: int, prefix: tuple[int, ...]):
+        if left == 0:
+            out.append(prefix)
+            return
+        for k in range(min(left, cap), 0, -1):
+            rec(left - k, k, prefix + (k,))
+
+    rec(n, n, ())
+    return out
 
 
 def enumerate_abelian_groups(m: int) -> list[AbelianGroupSpec]:
@@ -247,7 +256,7 @@ def enumerate_abelian_groups(m: int) -> list[AbelianGroupSpec]:
         raise ValueError(f"group order {m} is below 1")
     per_prime = []
     for p, e in sorted(_factorize(m).items()):
-        per_prime.append([(p, part) for part in _exponent_partitions(e)])
+        per_prime.append([(p, part) for part in partitions(e)])
     specs = []
     for combo in product(*per_prime):
         prime_powers = [p ** k for p, part in combo for k in part]
@@ -378,9 +387,10 @@ def parse_structure_spec(text: str) -> StructureSpec:
     """Parse the block grammar: ';' between blocks, ',' between cyclic orders.
 
     "4;2,2" is a Z4 block next to a Z2xZ2 block; a block may also name a
-    built-in non-abelian table, as in "S3;2".
+    built-in non-abelian table, as in "S3;2".  The total order may not
+    exceed CARRIER_LIMIT; that is checked before any block is normalized.
     """
-    blocks = []
+    blocks: list = []  # GroupSpec or a list of cyclic orders, normalized below
     for raw in text.split(";"):
         token = raw.strip()
         if not token:
@@ -398,8 +408,11 @@ def parse_structure_spec(text: str) -> StructureSpec:
             raise ValueError(f"bad block token {token!r} in group spec {text!r}") from None
         if any(m < 1 for m in orders):
             raise ValueError(f"cyclic orders must be at least 1 in block {token!r}")
-        blocks.append(normalize_invariant_factors(orders))
-    return StructureSpec(tuple(blocks))
+        blocks.append(orders)
+    if sum(prod(b) if isinstance(b, list) else b.order for b in blocks) > CARRIER_LIMIT:
+        raise ValueError(f"group spec {text!r} has order above {CARRIER_LIMIT}")
+    return StructureSpec(tuple(normalize_invariant_factors(b) if isinstance(b, list) else b
+                               for b in blocks))
 
 
 def _block_table(b) -> tuple[tuple[int, ...], ...]:

@@ -14,6 +14,8 @@ a carrier travel as relations from it.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import lshift, or_
 from typing import Iterable, Iterator
 
 MONO_DOMAIN_LIMIT = 20
@@ -47,6 +49,13 @@ class Rel:
         self.rows = rows
 
     @classmethod
+    def _unchecked(cls, dom: int, cod: int, rows: tuple[int, ...]) -> "Rel":
+        """Wrap rows already known to fit dom x cod; for this module's operations."""
+        r = object.__new__(cls)
+        r.dom, r.cod, r.rows = dom, cod, rows
+        return r
+
+    @classmethod
     def from_pairs(cls, dom: int, cod: int, pairs: Iterable[tuple[int, int]]) -> "Rel":
         rows = [0] * dom
         for a, b in pairs:
@@ -73,7 +82,7 @@ class Rel:
             for b in bits(row):
                 acc |= orows[b]
             out.append(acc)
-        return Rel(self.dom, other.cod, out)
+        return Rel._unchecked(self.dom, other.cod, tuple(out))
 
     __rshift__ = then
 
@@ -83,7 +92,7 @@ class Rel:
             bit = 1 << a
             for b in bits(row):
                 out[b] |= bit
-        return Rel(self.cod, self.dom, out)
+        return Rel._unchecked(self.cod, self.dom, tuple(out))
 
     def tensor(self, other: "Rel") -> "Rel":
         """Parallel pairing on flattened products."""
@@ -94,7 +103,32 @@ class Rel:
                 for b in bits(row):
                     acc |= orow << (b * other.cod)
                 out.append(acc)
-        return Rel(self.dom * other.dom, self.cod * other.cod, out)
+        return Rel._unchecked(self.dom * other.dom, self.cod * other.cod, tuple(out))
+
+    def whisker_right(self, k: int, s: "Rel", m: int = 1) -> "Rel":
+        """(self ⊗ id_k) >> (id_m ⊗ s), for self from A to m*B and s from B*k
+        to C, with neither tensor built; ``whisker_right_rows`` is lazy."""
+        return Rel._unchecked(self.dom * k, m * s.cod, tuple(self.whisker_right_rows(k, s, m)))
+
+    def whisker_left(self, k: int, s: "Rel", m: int = 1) -> "Rel":
+        """(id_k ⊗ self) >> (s ⊗ id_m), for self from A to B*m and s from k*B
+        to C, with neither tensor built; ``whisker_left_rows`` is lazy."""
+        return Rel._unchecked(k * self.dom, s.cod * m, tuple(self.whisker_left_rows(k, s, m)))
+
+    def whisker_right_rows(self, k: int, s: "Rel", m: int = 1) -> Iterator[int]:
+        # row (a, j) joins s's row (b, j), moved to block x, over the bits (x, b) of row a
+        return _right_rows(*self._whisker_shape(k, s, m), k, s.rows, s.cod)
+
+    def whisker_left_rows(self, k: int, s: "Rel", m: int = 1) -> Iterator[int]:
+        # row (i, a) joins s's row (i, b), value z moved to z*m + y, over bits (b, y) of row a
+        return _left_rows(*self._whisker_shape(k, s, m), k, s.rows, m)
+
+    def _whisker_shape(self, k: int, s: "Rel", m: int) -> tuple[tuple[int, ...], int]:
+        """The rows to read (none when k = 0) and B in the shapes above."""
+        if k < 0 or m < 0 or self.cod * k != m * s.dom or (m and self.cod % m):
+            raise ValueError(f"whisker mismatch: {self.dom}x{self.cod} with k={k}, m={m} "
+                             f"then {s.dom}x{s.cod}")
+        return (self.rows if k else ()), (self.cod // m if m else 0)
 
     def is_mono(self) -> bool:
         """Whether the direct-image map on subsets is injective.
@@ -125,6 +159,35 @@ class Rel:
 
     def __repr__(self) -> str:
         return f"Rel({self.dom}, {self.cod}, {sorted(self.pairs())})"
+
+
+def _right_rows(rows, width: int, k: int, srows, cod: int) -> Iterator[int]:
+    for row in rows:
+        block = None
+        for p in bits(row):
+            x, b = divmod(p, width)
+            part = srows[b * k:(b + 1) * k]
+            part = map(lshift, part, repeat(x * cod)) if x else part
+            block = list(part) if block is None else list(map(or_, block, part))
+        yield from repeat(0, k) if block is None else block
+
+
+def _left_rows(rows, width: int, k: int, srows, m: int) -> Iterator[int]:
+    if m > 1:
+        srows = [sum(1 << (z * m) for z in bits(row)) for row in srows]
+    # Layer t lists the t-th bit (b, y) of every row; a row with fewer bits
+    # points at the zero appended after each block of s's rows.
+    parts = [[divmod(p, m) for p in bits(row)] for row in rows]
+    layers = [tuple(zip(*(pa[t] if t < len(pa) else (width, 0) for pa in parts)))
+              for t in range(max(map(len, parts), default=0))]
+    for i in range(k):
+        block = [*srows[i * width:(i + 1) * width], 0]
+        acc = None
+        for bs, ys in layers:
+            vals = map(block.__getitem__, bs)
+            vals = map(lshift, vals, ys) if m > 1 else vals
+            acc = list(vals) if acc is None else list(map(or_, acc, vals))
+        yield from repeat(0, len(rows)) if acc is None else acc
 
 
 def identity(n: int) -> Rel:

@@ -7,7 +7,8 @@ import itertools
 import pytest
 
 from conftest import candidate
-from relfrob import (AbelianGroupSpec, BUILTIN_NONABELIAN, PreconditionError,
+from relfrob import (AbelianGroupSpec, BUILTIN_NONABELIAN, DecompositionError,
+                     FrobeniusCandidate, PreconditionError,
                      QuantumStructure, Rel, SearchConfig, brute_force_search,
                      build_biproduct, build_group_structure, check_duality,
                      classical_elements, comonoid_subobjects, decompose,
@@ -181,6 +182,16 @@ def test_decompose_round_trips_every_spec():
         assert result.spec == spec
         covered = sorted(x for members, _ in result.blocks for x in members)
         assert covered == list(range(c.n))
+
+
+def test_decompose_raises_on_the_pair_groupoid():
+    # passes every axiom but commutativity, yet is a groupoid, not a union of groups
+    arrows = [(2 * i + j, 2 * j + k, 2 * i + k)
+              for i in range(2) for j in range(2) for k in range(2)]
+    groupoid = FrobeniusCandidate.from_triples(4, arrows, [0, 3])
+    assert verify_structure(groupoid).is_special_frobenius
+    with pytest.raises(DecompositionError, match="not single-valued in block"):
+        decompose(groupoid)
 
 
 def test_decompose_block_layout():

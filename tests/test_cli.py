@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from relfrob import BUILTIN_NONABELIAN, build_group_structure, save_structure
+import relfrob
+import relfrob.groups
+from relfrob import (BUILTIN_NONABELIAN, FrobeniusCandidate, build_group_structure,
+                     save_structure)
 from relfrob.cli import main
+from relfrob.frobenius import CARRIER_LIMIT
+
+# the pair groupoid on objects {0, 1}: arrow (i, j) is 2*i + j
+PAIR_GROUPOID = [(2 * i + j, 2 * j + k, 2 * i + k)
+                 for i in range(2) for j in range(2) for k in range(2)]
 
 Z2_TEXT = "n 2\nbot 0\nnabla 0 0 0\nnabla 0 1 1\nnabla 1 0 1\nnabla 1 1 0\n"
 MAX_MONOID_TEXT = "n 2\nbot 0\nnabla 0 0 0\nnabla 0 1 1\nnabla 1 0 1\nnabla 1 1 1\n"
@@ -158,6 +170,57 @@ def test_decompose_rejects_non_frobenius(max_monoid_file, capsys):
     code, _, err = run(capsys, "decompose", max_monoid_file)
     assert code == 1
     assert "frobenius" in err
+
+
+def test_decompose_groupoid_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "groupoid.rel"
+    save_structure(str(path), FrobeniusCandidate.from_triples(4, PAIR_GROUPOID, [0, 3]))
+    code, out, err = run(capsys, "decompose", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_decompose_groupoid_fails_cleanly_under_python_O(tmp_path):
+    path = tmp_path / "groupoid.rel"
+    save_structure(str(path), FrobeniusCandidate.from_triples(4, PAIR_GROUPOID, [0, 3]))
+    src = str(Path(relfrob.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-m", "relfrob", "decompose", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "not single-valued in block" in done.stderr
+
+
+@pytest.fixture
+def no_structures(monkeypatch):
+    """Make building any structure, or normalizing any group, fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("input over the carrier cap was allocated")
+    monkeypatch.setattr(FrobeniusCandidate, "__init__", refuse)
+    monkeypatch.setattr(relfrob.groups, "normalize_invariant_factors", refuse)
+
+
+def test_oversized_carrier_file_exits_2_before_building(tmp_path, capsys, no_structures):
+    path = tmp_path / "big.rel"
+    path.write_text("n 500\nnabla 0 0 0\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: line 1: carrier size 500 exceeds the limit {CARRIER_LIMIT}\n"
+
+
+def test_oversized_group_spec_exits_2_before_normalizing(capsys, no_structures):
+    code, out, err = run(capsys, "build", "--groups", "1000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: group spec '1000000' has order above")
+
+
+def test_carrier_cap_is_inclusive(capsys):
+    assert CARRIER_LIMIT >= 120
+    code, out, _ = run(capsys, "build", "--groups", f"{CARRIER_LIMIT - 1};1")
+    assert code == 0 and out.startswith(f"n {CARRIER_LIMIT}\n")
+    code, _, _ = run(capsys, "build", "--groups", f"{CARRIER_LIMIT};1")
+    assert code == 2
 
 
 def test_quantum_output_line(tmp_path, capsys):

@@ -3,13 +3,18 @@ pair-set reference implementation."""
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 import naive
+import relfrob.frobenius
 from conftest import candidate, relational_tables, single_valued_tables
-from relfrob import (FroWitness, FrobeniusCandidate, check_fro_pointwise,
-                     frobenius_sets_at, verify_structure)
+from relfrob import (FroWitness, FrobeniusCandidate, Rel, build_biproduct,
+                     check_fro_pointwise, classical_elements, decompose,
+                     enumerate_special_frobenius, frobenius_sets_at,
+                     parse_structure_spec, quantum_structure, satisfies_axioms,
+                     verify_structure)
 
 AXIOM_NAMES = ("associativity", "left-unit", "right-unit", "commutativity",
                "special", "frobenius", "frobenius-pointwise")
@@ -162,3 +167,96 @@ def test_comonoid_laws_hold_for_verified_structures(z2, standard2, z3):
         assert lhs == rhs
         assert c.delta >> c.top.tensor(idn) == idn
         assert c.delta >> idn.tensor(c.top) == idn
+
+
+SMALL_SPECS = [spec for n in range(7) for spec in enumerate_special_frobenius(n)]
+
+
+@st.composite
+def operation_tables(draw, max_n: int = 6):
+    """A partial operation with no symmetry imposed, plus a unit subset."""
+    n = draw(st.integers(0, max_n))
+    cells = [(x, y, draw(st.integers(-1, n - 1))) for x in range(n) for y in range(n)]
+    bot = draw(st.frozensets(st.integers(0, n - 1))) if n else frozenset()
+    return n, tuple(t for t in cells if t[2] >= 0), bot
+
+
+@st.composite
+def perturbed_group_tables(draw):
+    """A union of groups on at most 6 points, maybe with one cell or unit changed."""
+    c = build_biproduct(draw(st.sampled_from(SMALL_SPECS)))
+    triples, bot = list(c.triples()), set(c.bot)
+    if c.n and draw(st.booleans()):
+        k = draw(st.integers(0, len(triples) - 1))
+        x, y, _ = triples[k]
+        z = draw(st.integers(-1, c.n - 1))
+        if z < 0:
+            del triples[k]
+        else:
+            triples[k] = (x, y, z)
+    if c.n and draw(st.booleans()):
+        bot ^= {draw(st.integers(0, c.n - 1))}
+    return c.n, tuple(triples), frozenset(bot)
+
+
+# tables failing one axiom only: interchange (the max monoid), commutativity
+# (the pair groupoid on two objects)
+NEAR_MISSES = [
+    (2, ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)), frozenset({0})),
+    (4, tuple((2 * i + j, 2 * j + k, 2 * i + k)
+              for i in range(2) for j in range(2) for k in range(2)), frozenset({0, 3})),
+]
+
+
+@given(st.one_of(single_valued_tables(6), relational_tables(6), operation_tables(),
+                 perturbed_group_tables(), st.sampled_from(NEAR_MISSES)))
+def test_predicate_matches_report(table):
+    n, triples, bot = table
+    report = verify_structure(candidate(n, triples, bot))
+    # fresh candidates, so the predicate cannot read the cached report
+    assert satisfies_axioms(candidate(n, triples, bot)) == report.is_classical
+    assert (satisfies_axioms(candidate(n, triples, bot), commutative=False)
+            == report.is_special_frobenius)
+
+
+def test_predicate_accepts_groups_without_the_pointwise_route(monkeypatch):
+    def refuse(c):
+        raise AssertionError("pointwise route run")
+    monkeypatch.setattr(relfrob.frobenius, "check_fro_pointwise", refuse)
+    assert satisfies_axioms(build_biproduct(parse_structure_spec("2;3")))
+    s3 = build_biproduct(parse_structure_spec("S3"))
+    assert not satisfies_axioms(s3) and satisfies_axioms(s3, commutative=False)
+
+
+def test_second_verify_and_require_reuse_the_cached_report(monkeypatch):
+    c = build_biproduct(parse_structure_spec("2;3"))
+    first = verify_structure(c)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("axioms checked again")
+    for name in ("_associativity", "_interchange", "check_fro_pointwise"):
+        monkeypatch.setattr(relfrob.frobenius, name, refuse)
+    monkeypatch.setattr(Rel, "whisker_right_rows", refuse)
+    monkeypatch.setattr(Rel, "whisker_left_rows", refuse)
+    assert verify_structure(c) is first
+    assert satisfies_axioms(c)
+    # every analysis entry point goes through _require
+    assert decompose(c).spec.label == "Z2 + Z3"
+    assert len(classical_elements(c)) == 2
+    assert quantum_structure(c).n == 5
+
+
+def test_equal_candidates_do_not_share_a_report():
+    a = build_biproduct(parse_structure_spec("3"))
+    b = build_biproduct(parse_structure_spec("3"))
+    assert a == b and verify_structure(a) == verify_structure(b)
+    assert verify_structure(a) is not verify_structure(b)
+
+
+def test_empty_table_on_120_points_verifies():
+    rep = verify_structure(FrobeniusCandidate.from_triples(120, [], []))
+    assert rep.associativity.ok and rep.commutativity.ok and rep.frobenius.ok
+    assert rep.left_unit.witness == rep.right_unit.witness == (0, frozenset())
+    assert rep.special.witness == (0, frozenset())
+    assert rep.frobenius_pointwise == rep.frobenius
+    assert not rep.is_special_frobenius

@@ -118,6 +118,51 @@ def test_swap_naturality(r, s):
     assert lhs == rhs
 
 
+@given(dims, dims, dims, dims, st.data())
+def test_whiskers_are_tensor_then_compose(a, b, c, k, data):
+    # the plain forms (r ⊗ id_k) >> s and (id_k ⊗ r) >> s
+    r = data.draw(rel_between(a, b))
+    s = data.draw(rel_between(b * k, c))
+    assert r.whisker_right(k, s) == r.tensor(identity(k)) >> s
+    s = data.draw(rel_between(k * b, c))
+    assert r.whisker_left(k, s) == identity(k).tensor(r) >> s
+
+
+@given(dims, dims, dims, dims, dims, st.data())
+def test_whiskers_with_outer_identity_match_reference(a, b, c, k, m, data):
+    r = data.draw(rel_between(a, m * b))
+    s = data.draw(rel_between(b * k, c))
+    want = r.tensor(identity(k)) >> identity(m).tensor(s)
+    assert r.whisker_right(k, s, m) == want
+    assert list(r.whisker_right_rows(k, s, m)) == list(want.rows)
+    assert want.pairs() == naive.compose(
+        naive.tensor(r.pairs(), (a, m * b), naive.identity_pairs(k), (k, k)),
+        naive.tensor(naive.identity_pairs(m), (m, m), s.pairs(), (b * k, c)))
+
+    r = data.draw(rel_between(a, b * m))
+    s = data.draw(rel_between(k * b, c))
+    want = identity(k).tensor(r) >> s.tensor(identity(m))
+    assert r.whisker_left(k, s, m) == want
+    assert list(r.whisker_left_rows(k, s, m)) == list(want.rows)
+
+
+def test_whiskers_by_nothing_have_no_rows():
+    # k = 0 and m = 0: r's codomain need not split into m blocks
+    r, s = Rel(1, 3, [0b101]), Rel(0, 2, [])
+    for m in (0, 1, 3):
+        assert r.whisker_right(0, s, m) == r.tensor(identity(0)) >> identity(m).tensor(s)
+        assert r.whisker_left(0, s, m) == identity(0).tensor(r) >> s.tensor(identity(m))
+
+
+def test_whisker_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="whisker mismatch"):
+        identity(2).whisker_right(2, identity(3))
+    with pytest.raises(ValueError, match="whisker mismatch"):
+        identity(2).whisker_left_rows(2, identity(4), m=3)
+    with pytest.raises(ValueError, match="whisker mismatch"):
+        identity(2).whisker_right(-1, identity(0))
+
+
 def test_vector_pairs():
     v = vector(4, [1, 3])
     assert v.dom == 1 and v.cod == 4
