@@ -1,15 +1,19 @@
 """Derived data of a verified structure: elements, self-duality, blocks.
 
 The copyable subsets of a structure (its classical elements) are found by
-plain brute force over all subsets rather than by trusting any theorem;
-``decompose`` then recovers the block partition from the unit subset and
-checks that the blocks really are groups, raising ``DecompositionError``
-when they are not.  Every candidate is run through the axiom checker first
-(once: the report is cached on the candidate).
+plain brute force over all subsets rather than by trusting any theorem.
+The comonoid subobjects are built from the same scan: a comonoid map splits
+row by row into copyable rows meeting the unit subset, so they are the
+monic m-tuples of classical elements.  ``decompose`` recovers the block
+partition from the unit subset and checks that the blocks really are
+groups, raising ``DecompositionError`` when they are not.  Every candidate
+is run through the axiom checker first (once: the report is cached on the
+candidate).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -76,6 +80,12 @@ def classical_elements(c: FrobeniusCandidate) -> list[frozenset[int]]:
         raise ValueError(
             f"carrier size {n} exceeds the subset search limit {ELEMENTS_CARRIER_LIMIT}")
     _require(c, commutative=True, what="classical_elements")
+    return sorted((frozenset(bits(phi)) for phi in _classical_masks(c)), key=sorted)
+
+
+def _classical_masks(c: FrobeniusCandidate) -> list[int]:
+    """Bit masks of the copyable subsets that meet the unit subset."""
+    n = c.n
     # fiber[z]: the pairs multiplying to z, as one n*n-bit mask
     fibers = c.delta.rows
     bot_mask = c.bot_vec.row(0)
@@ -91,8 +101,8 @@ def classical_elements(c: FrobeniusCandidate) -> list[frozenset[int]]:
             copied |= fibers[a]
             square |= phi << (a * n)
         if copied == square and phi & bot_mask:
-            out.append(frozenset(bits(phi)))
-    return sorted(out, key=sorted)
+            out.append(phi)
+    return out
 
 
 def quantum_structure(c: FrobeniusCandidate) -> QuantumStructure:
@@ -201,9 +211,12 @@ def _expect(ok: object, message: str) -> None:
 def comonoid_subobjects(c: FrobeniusCandidate, m: int) -> list[Rel]:
     """All monic comonoid maps into the structure from a standard m-carrier.
 
-    Exhausts every relation from m to the carrier, so m*n is capped at
-    24 bits.  The source comonoid copies points diagonally and deletes
-    everything, i.e. it is the standard structure on m points.
+    The source comonoid copies points diagonally and deletes everything,
+    i.e. it is the standard structure on m points.  Both comonoid laws,
+    r;delta = delta_m;(r x r) and r;top = top_m, hold row by row, so each
+    row is a copyable subset meeting the unit subset: the search runs over
+    m-tuples of classical elements and keeps the monic ones.  m*n is
+    capped at 24 bits.
     """
     n = c.n
     if m < 0:
@@ -212,17 +225,8 @@ def comonoid_subobjects(c: FrobeniusCandidate, m: int) -> list[Rel]:
         raise ValueError(
             f"search space {m}x{n} exceeds {SUBOBJECT_BIT_LIMIT} bits")
     _require(c, commutative=True, what="comonoid_subobjects")
-    delta_m = Rel.from_pairs(m, m * m, ((i, i * m + i) for i in range(m)))
-    top_m = Rel.from_pairs(m, 1, ((i, 0) for i in range(m)))
-    out = []
-    for mask in range(1 << (m * n)):
-        rows = [(mask >> (i * n)) & ((1 << n) - 1) for i in range(m)]
-        r = Rel(m, n, rows)
-        if not r.is_mono():
-            continue
-        if r >> c.delta != delta_m >> r.tensor(r):
-            continue
-        if r >> c.top != top_m:
-            continue
-        out.append(r)
+    # m = 0 leaves n uncapped, and its one subobject needs no scan
+    masks = _classical_masks(c) if m else []
+    out = [r for r in (Rel(m, n, rows) for rows in itertools.product(masks, repeat=m))
+           if r.is_mono()]
     return sorted(out, key=lambda r: sorted(r.pairs()))

@@ -21,6 +21,7 @@ from .groups import (AbelianGroupSpec, StructureSpec, enumerate_abelian_groups,
 SEARCH_CARRIER_LIMIT = 4
 QUOTIENT_CARRIER_LIMIT = 6
 SPECIAL_ENUM_LIMIT = 8
+ENUM_CARRIER_LIMIT = 32
 
 _UNASSIGNED = -2
 _UNDEF = -1
@@ -44,10 +45,14 @@ def _structures_from_choices(n: int, choices_per_order) -> list[StructureSpec]:
 def enumerate_classical_structures(n: int) -> list[StructureSpec]:
     """All commutative structures on n points up to relabeling.
 
-    One spec per multiset of abelian groups with total order n.
+    One spec per multiset of abelian groups with total order n.  The number
+    of partitions of n grows fast, so n is capped at ``ENUM_CARRIER_LIMIT``.
     """
     if n < 0:
         raise ValueError(f"carrier size {n} is negative")
+    if n > ENUM_CARRIER_LIMIT:
+        raise ValueError(
+            f"carrier size {n} exceeds the enumeration bound {ENUM_CARRIER_LIMIT}")
     return _structures_from_choices(n, enumerate_abelian_groups)
 
 

@@ -1,9 +1,11 @@
 """Command line front end.
 
 Subcommands mirror the library: verify, build, enumerate, brute-force,
-decompose, quantum, elements, subobjects, cross-validate.  ``--format
-machine`` switches every report to one JSON document on stdout with sorted
-keys, so output is byte-stable across runs.
+decompose, quantum, elements, subobjects, cross-validate.  Each command
+returns its exit code, one payload dict and the human lines rendered from
+it; ``main`` prints the lines, or under ``--format machine`` the payload as
+one JSON document with sorted keys, so output is byte-stable across runs.
+``build`` has no payload and writes the structure file in both formats.
 
 Exit codes: 0 success; 1 axiom failure, cross-validation mismatch, exhausted
 search budget, or a structure that does not decompose into groups; 2 usage,
@@ -23,8 +25,11 @@ from .classify import (BudgetExceededError, SearchConfig, brute_force_search,
                        cross_validate, enumerate_classical_structures,
                        enumerate_special_frobenius, quotient_by_iso)
 from .files import StructureParseError, load_structure, render_structure
-from .frobenius import AxiomReport, FroWitness, Verdict, verify_structure
+from .frobenius import FroWitness, Verdict, verify_structure
 from .groups import build_biproduct, parse_structure_spec
+
+# exit code, payload for --format machine (None: print the lines), human lines
+Result = tuple[int, dict | None, list[str]]
 
 
 def _fmt_set(items) -> str:
@@ -66,165 +71,113 @@ def _verdict_line(name: str, v: Verdict | None) -> str:
     return f"{name:<20} FAIL {detail}"
 
 
-def _print_report(report: AxiomReport, machine: bool) -> None:
-    if machine:
-        payload = {
-            "n": report.n,
-            "empty_carrier": report.empty_carrier,
-            "classical": report.is_classical,
-            "special_frobenius": report.is_special_frobenius,
-            "axioms": {
-                name: None if v is None else {
-                    "ok": v.ok,
-                    "witness": _json_witness(v.witness),
-                    "violations": [list(p) for p in v.violations],
-                }
-                for name, v in report.axioms()
-            },
-        }
-        print(json.dumps(payload, sort_keys=True))
-        return
+def cmd_verify(args) -> Result:
+    report = verify_structure(load_structure(args.file))
+    payload = {
+        "n": report.n,
+        "empty_carrier": report.empty_carrier,
+        "classical": report.is_classical,
+        "special_frobenius": report.is_special_frobenius,
+        "axioms": {
+            name: None if v is None else {
+                "ok": v.ok,
+                "witness": _json_witness(v.witness),
+                "violations": [list(p) for p in v.violations],
+            }
+            for name, v in report.axioms()
+        },
+    }
+    lines = [_verdict_line(name, v) for name, v in report.axioms()]
     if report.empty_carrier:
-        print("carrier 0: empty biproduct, all laws hold vacuously")
-    for name, v in report.axioms():
-        print(_verdict_line(name, v))
+        lines.insert(0, "carrier 0: empty biproduct, all laws hold vacuously")
     if report.is_classical:
-        print("verdict: classical structure")
+        lines.append("verdict: classical structure")
     elif report.is_special_frobenius:
-        print("verdict: special Frobenius structure (not commutative)")
+        lines.append("verdict: special Frobenius structure (not commutative)")
     else:
-        print("verdict: fails the axioms above")
+        lines.append("verdict: fails the axioms above")
+    return (0 if report.is_classical else 1), payload, lines
 
 
-def cmd_verify(args) -> int:
-    c = load_structure(args.file)
-    report = verify_structure(c)
-    _print_report(report, args.format == "machine")
-    return 0 if report.is_classical else 1
-
-
-def cmd_build(args) -> int:
-    spec = parse_structure_spec(args.groups)
-    c = build_biproduct(spec)
-    text = render_structure(c)
+def cmd_build(args) -> Result:
+    text = render_structure(build_biproduct(parse_structure_spec(args.groups)))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+        return 0, None, []
+    return 0, None, text.splitlines()
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> Result:
     if args.special:
         specs = enumerate_special_frobenius(args.n)
     else:
         specs = enumerate_classical_structures(args.n)
-    if args.format == "machine":
-        print(json.dumps({"n": args.n, "special": bool(args.special),
-                          "count": len(specs),
-                          "structures": [s.label for s in specs]}, sort_keys=True))
-    else:
-        for s in specs:
-            print(s.label)
-        kind = "special Frobenius" if args.special else "classical"
-        print(f"total: {len(specs)} {kind} structures on {args.n} points")
-    return 0
+    payload = {"n": args.n, "special": bool(args.special), "count": len(specs),
+               "structures": [s.label for s in specs]}
+    kind = "special Frobenius" if args.special else "classical"
+    return 0, payload, payload["structures"] + [
+        f"total: {len(specs)} {kind} structures on {args.n} points"]
 
 
-def cmd_brute_force(args) -> int:
+def cmd_brute_force(args) -> Result:
     cfg = SearchConfig(n=args.n, require_commutative=not args.no_commutative,
                        budget=args.budget)
     cands = brute_force_search(cfg)
-    classes = quotient_by_iso(cands)
-    if args.format == "machine":
-        print(json.dumps({
-            "n": args.n,
-            "commutative_required": cfg.require_commutative,
-            "count": len(cands),
-            "classes": [{"triples": [list(t) for t in rep.triples()],
-                         "bot": sorted(rep.bot), "size": size}
-                        for rep, size in classes],
-        }, sort_keys=True))
-    else:
-        for rep, size in classes:
-            trips = " ".join(f"{x}{y}->{z}" for x, y, z in rep.triples())
-            print(f"class of size {size}: bot {_fmt_set(rep.bot)} table {trips}")
-        print(f"total: {_count(len(cands), 'labeled candidate')} "
-              f"in {_count(len(classes), 'class', 'classes')}")
-    return 0
+    classes = [{"triples": [list(t) for t in rep.triples()], "bot": sorted(rep.bot),
+                "size": size} for rep, size in quotient_by_iso(cands)]
+    payload = {"n": args.n, "commutative_required": cfg.require_commutative,
+               "count": len(cands), "classes": classes}
+    lines = [f"class of size {k['size']}: bot {_fmt_set(k['bot'])} table "
+             + " ".join(f"{x}{y}->{z}" for x, y, z in k["triples"]) for k in classes]
+    lines.append(f"total: {_count(len(cands), 'labeled candidate')} "
+                 f"in {_count(len(classes), 'class', 'classes')}")
+    return 0, payload, lines
 
 
-def cmd_decompose(args) -> int:
-    c = load_structure(args.file)
-    result = decompose(c)
-    if args.format == "machine":
-        print(json.dumps({
-            "blocks": [{"elements": sorted(elems), "group": g.label}
-                       for elems, g in result.blocks],
-            "spec": result.spec.label,
-        }, sort_keys=True))
-    else:
-        for elems, g in result.blocks:
-            print(f"block {_fmt_set(elems)}: {g.label}")
-        print(f"spec: {result.spec.label}")
-    return 0
+def cmd_decompose(args) -> Result:
+    result = decompose(load_structure(args.file))
+    payload = {"blocks": [{"elements": sorted(elems), "group": g.label}
+                          for elems, g in result.blocks],
+               "spec": result.spec.label}
+    lines = [f"block {_fmt_set(b['elements'])}: {b['group']}" for b in payload["blocks"]]
+    return 0, payload, lines + [f"spec: {payload['spec']}"]
 
 
-def cmd_quantum(args) -> int:
-    c = load_structure(args.file)
-    q = quantum_structure(c)
+def cmd_quantum(args) -> Result:
+    q = quantum_structure(load_structure(args.file))
     duality = check_duality(q)
-    if args.format == "machine":
-        print(json.dumps({"n": q.n, "eta": [list(p) for p in q.eta_pairs()],
-                          "duality_ok": duality.ok}, sort_keys=True))
-    else:
-        print(f"η = {_fmt_pairs(q.eta_pairs())}")
-        print("duality: pass" if duality.ok else f"duality: FAIL witness {duality.witness}")
-    return 0 if duality.ok else 1
+    payload = {"n": q.n, "eta": [list(p) for p in q.eta_pairs()], "duality_ok": duality.ok}
+    lines = [f"η = {_fmt_pairs(payload['eta'])}",
+             "duality: pass" if duality.ok else f"duality: FAIL witness {duality.witness}"]
+    return (0 if duality.ok else 1), payload, lines
 
 
-def cmd_elements(args) -> int:
-    c = load_structure(args.file)
-    elems = classical_elements(c)
-    if args.format == "machine":
-        print(json.dumps({"count": len(elems),
-                          "elements": [sorted(e) for e in elems]}, sort_keys=True))
-    else:
-        for e in elems:
-            print(_fmt_set(e))
-        print(f"total: {_count(len(elems), 'classical element')}")
-    return 0
+def cmd_elements(args) -> Result:
+    elems = [sorted(e) for e in classical_elements(load_structure(args.file))]
+    payload = {"count": len(elems), "elements": elems}
+    return 0, payload, [_fmt_set(e) for e in elems] + [
+        f"total: {_count(len(elems), 'classical element')}"]
 
 
-def cmd_subobjects(args) -> int:
-    c = load_structure(args.file)
-    rels = comonoid_subobjects(c, args.m)
-    if args.format == "machine":
-        print(json.dumps({"m": args.m, "count": len(rels),
-                          "relations": [sorted(map(list, r.pairs())) for r in rels]},
-                         sort_keys=True))
-    else:
-        for r in rels:
-            print(_fmt_pairs(r.pairs()) if r.pairs() else "(empty relation)")
-        print(f"total: {_count(len(rels), 'comonoid subobject')} "
-              f"from carrier {args.m}")
-    return 0
+def cmd_subobjects(args) -> Result:
+    rels = comonoid_subobjects(load_structure(args.file), args.m)
+    payload = {"m": args.m, "count": len(rels),
+               "relations": [sorted(map(list, r.pairs())) for r in rels]}
+    lines = [_fmt_pairs(pairs) if pairs else "(empty relation)"
+             for pairs in payload["relations"]]
+    return 0, payload, lines + [
+        f"total: {_count(len(rels), 'comonoid subobject')} from carrier {args.m}"]
 
 
-def cmd_cross_validate(args) -> int:
+def cmd_cross_validate(args) -> Result:
     result = cross_validate(args.n, budget=args.budget)
-    if args.format == "machine":
-        print(json.dumps({
-            "n": result.n, "ok": result.ok, "message": result.message,
-            "classes": [{"spec": spec.label, "size": size}
-                        for spec, _, size in result.matches],
-        }, sort_keys=True))
-    else:
-        for spec, _, size in result.matches:
-            print(f"{spec.label}  (class size {size})")
-        print(("OK: " if result.ok else "MISMATCH: ") + result.message)
-    return 0 if result.ok else 1
+    classes = [{"spec": spec.label, "size": size} for spec, _, size in result.matches]
+    payload = {"n": result.n, "ok": result.ok, "message": result.message,
+               "classes": classes}
+    lines = [f"{k['spec']}  (class size {k['size']})" for k in classes]
+    lines.append(("OK: " if result.ok else "MISMATCH: ") + result.message)
+    return (0 if result.ok else 1), payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,11 +252,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except StructureParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        code, payload, lines = args.fn(args)
+    except (StructureParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
@@ -315,7 +265,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
+    if args.format == "machine" and payload is not None:
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -44,6 +44,20 @@ def reference_classical_elements(c) -> list[frozenset[int]]:
     return sorted(out, key=sorted)
 
 
+def reference_comonoid_subobjects(c, m: int) -> list[Rel]:
+    """Every relation from m to the carrier against both comonoid laws and mono."""
+    n = c.n
+    delta_m = Rel.from_pairs(m, m * m, ((i, i * m + i) for i in range(m)))
+    top_m = Rel.from_pairs(m, 1, ((i, 0) for i in range(m)))
+    out = []
+    for mask in range(1 << (m * n)):
+        r = Rel(m, n, [(mask >> (i * n)) & ((1 << n) - 1) for i in range(m)])
+        if (r.is_mono() and r >> c.delta == delta_m >> r.tensor(r)
+                and r >> c.top == top_m):
+            out.append(r)
+    return sorted(out, key=lambda r: sorted(r.pairs()))
+
+
 def test_classical_elements_of_group_sum(z3):
     c = built("2;3")
     assert classical_elements(c) == [frozenset({0, 1}), frozenset({2, 3, 4})]
@@ -263,6 +277,28 @@ def test_comonoid_subobjects_bounds(z3):
         comonoid_subobjects(z3, 9)
     with pytest.raises(ValueError, match="negative"):
         comonoid_subobjects(z3, -1)
+
+
+def test_comonoid_subobjects_match_reference_scan():
+    structures = [c for _, c in all_structures_up_to(5) if verify_structure(c).is_classical]
+    structures += brute_force_search(SearchConfig(3))
+    for c in structures:
+        for m in range(11):
+            if m * c.n <= 10:
+                assert comonoid_subobjects(c, m) == reference_comonoid_subobjects(c, m)
+
+
+def test_comonoid_subobjects_into_the_empty_carrier():
+    empty = FrobeniusCandidate.from_triples(0, [], [])
+    assert comonoid_subobjects(empty, 0) == [Rel(0, 0, [])]
+    # no relation from a non-empty set into the empty set is mono, however large m
+    for m in (1, 20, 21, 1000):
+        assert comonoid_subobjects(empty, m) == []
+
+
+def test_comonoid_subobjects_keep_the_mono_domain_cap():
+    with pytest.raises(ValueError, match="is_mono domain 21 exceeds limit 20"):
+        comonoid_subobjects(built("1"), 21)
 
 
 def test_decomposition_blocks_equal_classical_elements():

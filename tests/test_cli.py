@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import relfrob
+import relfrob.classify
 import relfrob.groups
 from relfrob import (BUILTIN_NONABELIAN, FrobeniusCandidate, build_group_structure,
                      save_structure)
+from relfrob.classify import ENUM_CARRIER_LIMIT
 from relfrob.cli import main
 from relfrob.frobenius import CARRIER_LIMIT
 
@@ -221,6 +223,23 @@ def test_carrier_cap_is_inclusive(capsys):
     assert code == 0 and out.startswith(f"n {CARRIER_LIMIT}\n")
     code, _, _ = run(capsys, "build", "--groups", f"{CARRIER_LIMIT};1")
     assert code == 2
+
+
+def test_oversized_enumeration_exits_2_before_partitioning(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("partitions of a carrier over the bound were walked")
+    monkeypatch.setattr(relfrob.classify, "partitions", refuse)
+    code, out, err = run(capsys, "enumerate", "--n", "90")
+    assert code == 2 and out == ""
+    assert err == ("error: carrier size 90 exceeds the enumeration bound "
+                   f"{ENUM_CARRIER_LIMIT}\n")
+
+
+def test_enumeration_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(relfrob.classify, "partitions", lambda n: iter(()))
+    code, out, _ = run(capsys, "enumerate", "--n", str(ENUM_CARRIER_LIMIT))
+    assert code == 0
+    assert out == f"total: 0 classical structures on {ENUM_CARRIER_LIMIT} points\n"
 
 
 def test_quantum_output_line(tmp_path, capsys):
