@@ -8,7 +8,8 @@ monic m-tuples of classical elements.  ``decompose`` recovers the block
 partition from the unit subset and checks that the blocks really are
 groups, raising ``DecompositionError`` when they are not.  Every candidate
 is run through the axiom checker first (once: the report is cached on the
-candidate).
+candidate).  The duality, representation and dual-subset composites are
+whiskers (``Rel.whisker_right``/``whisker_left``), like every tensor.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable
 from .frobenius import FrobeniusCandidate, Verdict, verify_structure
 from .groups import (AbelianGroupSpec, GroupSpec, StructureSpec, identify_group,
                      invariant_factors_of_table)
-from .rel import Rel, bits, identity, vector
+from .rel import Rel, bits, vector
 
 ELEMENTS_CARRIER_LIMIT = 20
 SUBOBJECT_BIT_LIMIT = 24
@@ -75,12 +76,15 @@ def classical_elements(c: FrobeniusCandidate) -> list[frozenset[int]]:
     the unit subset.  For a verified commutative structure these are
     exactly the carriers of the group blocks, but nothing here assumes so.
     """
-    n = c.n
+    _check_scan_size(c.n)
+    _require(c, commutative=True, what="classical_elements")
+    return sorted((frozenset(bits(phi)) for phi in _classical_masks(c)), key=sorted)
+
+
+def _check_scan_size(n: int) -> None:
     if n > ELEMENTS_CARRIER_LIMIT:
         raise ValueError(
             f"carrier size {n} exceeds the subset search limit {ELEMENTS_CARRIER_LIMIT}")
-    _require(c, commutative=True, what="classical_elements")
-    return sorted((frozenset(bits(phi)) for phi in _classical_masks(c)), key=sorted)
 
 
 def _classical_masks(c: FrobeniusCandidate) -> list[int]:
@@ -118,9 +122,8 @@ def check_duality(q: QuantumStructure) -> Verdict:
     identity, sides scanned left then right.
     """
     n = q.n
-    idn = identity(n)
-    left = idn.tensor(q.eta) >> q.epsilon.tensor(idn)
-    right = q.eta.tensor(idn) >> idn.tensor(q.epsilon)
+    left = q.eta.whisker_left(n, q.epsilon, n)  # (id ⊗ eta) >> (epsilon ⊗ id)
+    right = q.eta.whisker_right(n, q.epsilon, n)  # (eta ⊗ id) >> (id ⊗ epsilon)
     for side, composite in (("left", left), ("right", right)):
         for x in range(n):
             if composite.row(x) != 1 << x:
@@ -130,7 +133,7 @@ def check_duality(q: QuantumStructure) -> Verdict:
 
 def represent(c: FrobeniusCandidate, phi: Iterable[int]) -> Rel:
     """The action of a subset: x relates to every value of a*x with a in phi."""
-    return vector(c.n, phi).tensor(identity(c.n)) >> c.nabla
+    return vector(c.n, phi).whisker_right(c.n, c.nabla)  # (phi ⊗ id) >> nabla
 
 
 def is_partial_bijection(r: Rel) -> bool:
@@ -147,7 +150,7 @@ def star(c: FrobeniusCandidate, phi: Iterable[int]) -> frozenset[int]:
     """
     eta = c.bot_vec >> c.delta
     phi_op = vector(c.n, phi).converse()
-    return frozenset(bits((eta >> phi_op.tensor(identity(c.n))).row(0)))
+    return frozenset(bits(eta.whisker_left(1, phi_op, c.n).row(0)))  # eta >> (phi_op ⊗ id)
 
 
 def decompose(c: FrobeniusCandidate) -> DecompositionResult:
@@ -216,7 +219,8 @@ def comonoid_subobjects(c: FrobeniusCandidate, m: int) -> list[Rel]:
     r;delta = delta_m;(r x r) and r;top = top_m, hold row by row, so each
     row is a copyable subset meeting the unit subset: the search runs over
     m-tuples of classical elements and keeps the monic ones.  m*n is
-    capped at 24 bits.
+    capped at 24 bits, and for m >= 1 the subset scan caps n as in
+    ``classical_elements``.
     """
     n = c.n
     if m < 0:
@@ -224,8 +228,9 @@ def comonoid_subobjects(c: FrobeniusCandidate, m: int) -> list[Rel]:
     if m * n > SUBOBJECT_BIT_LIMIT:
         raise ValueError(
             f"search space {m}x{n} exceeds {SUBOBJECT_BIT_LIMIT} bits")
+    if m:  # m = 0 leaves n uncapped, and its one subobject needs no scan
+        _check_scan_size(n)
     _require(c, commutative=True, what="comonoid_subobjects")
-    # m = 0 leaves n uncapped, and its one subobject needs no scan
     masks = _classical_masks(c) if m else []
     out = [r for r in (Rel(m, n, rows) for rows in itertools.product(masks, repeat=m))
            if r.is_mono()]

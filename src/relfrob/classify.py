@@ -95,10 +95,11 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     """Every structure on the labeled carrier passing the axiom checker.
 
     Fills cells of a partial single-valued table depth first, pruning on
-    associativity over the decided prefix, on surjectivity feasibility, and
-    on unit coverage.  The unit subset is never guessed: for each complete
-    table it is forced to be the set of all two-sided partial identities,
-    which is the only subset that can satisfy the unit laws.
+    associativity over the decided prefix and on unit coverage.  The unit
+    subset is never guessed: for each complete table it is forced to be the
+    set of all two-sided partial identities, which is the only subset that
+    can satisfy the unit laws.  n is capped at ``SEARCH_CARRIER_LIMIT``;
+    ``budget``, when given, bounds the nodes explored.
     """
     n = cfg.n
     if n < 0:
@@ -118,23 +119,11 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
 
     def triple_ok(a: int, b: int, c: int) -> bool:
         # compare (a*b)*c with a*(b*c) as far as the prefix decides them
-        ab = table[a][b]
-        bc = table[b][c]
-        if ab == _UNDEF:
-            left = _UNDEF
-        elif ab == _UNASSIGNED:
-            left = _UNASSIGNED
-        else:
-            left = table[ab][c]
-        if bc == _UNDEF:
-            right = _UNDEF
-        elif bc == _UNASSIGNED:
-            right = _UNASSIGNED
-        else:
-            right = table[a][bc]
-        if left == _UNASSIGNED or right == _UNASSIGNED:
-            return True
-        return left == right
+        # an undefined or unassigned product propagates as itself
+        ab, bc = table[a][b], table[b][c]
+        left = ab if ab < 0 else table[ab][c]
+        right = bc if bc < 0 else table[a][bc]
+        return left == _UNASSIGNED or right == _UNASSIGNED or left == right
 
     def affected_ok(p: int, q: int) -> bool:
         for c in range(n):
@@ -170,17 +159,9 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
                 return False
         return True
 
-    def surjectivity_feasible(k: int) -> bool:
-        values = {table[i][j] for i in range(n) for j in range(n) if table[i][j] >= 0}
-        return n - len(values) <= len(cells) - k
-
     def finalize():
+        # units_feasible at the last cell already made bot cover every x
         bot = [e for e in range(n) if not disqualified(e)]
-        for x in range(n):
-            if not any(table[e][x] == x for e in bot):
-                return
-            if not any(table[x][e] == x for e in bot):
-                return
         triples = [(i, j, table[i][j]) for i in range(n) for j in range(n)
                    if table[i][j] >= 0]
         cand = FrobeniusCandidate.from_triples(n, triples, bot)
@@ -202,8 +183,7 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
                 table[j][i] = v
             ok = (affected_ok(i, j)
                   and (i == j or not cfg.require_commutative or affected_ok(j, i))
-                  and units_feasible()
-                  and surjectivity_feasible(k + 1))
+                  and units_feasible())
             if ok:
                 descend(k + 1)
             table[i][j] = _UNASSIGNED
@@ -264,12 +244,9 @@ def cross_validate(n: int, budget: int | None = None) -> CrossValidation:
     """Search, quotient, decompose, and compare against the enumeration.
 
     A mismatch means one of the two routes is buggy; the verdict carries
-    both sides.  n = 4 is allowed only with an explicit node budget.
+    both sides.  The search bounds n (ValueError above
+    ``SEARCH_CARRIER_LIMIT``); ``budget`` is passed to it unchanged.
     """
-    if n > SEARCH_CARRIER_LIMIT:
-        raise ValueError(f"carrier size {n} exceeds the search bound {SEARCH_CARRIER_LIMIT}")
-    if n == SEARCH_CARRIER_LIMIT and budget is None:
-        raise ValueError("carrier size 4 needs an explicit node budget")
     from .analysis import decompose
 
     cands = brute_force_search(SearchConfig(n, require_commutative=True, budget=budget))

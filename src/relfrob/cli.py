@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cross-validate", parents=[common],
                        help="compare the exhaustive search against the enumeration")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, help="node budget (required for n=4)")
+    p.add_argument("--budget", type=int, help="node budget")
     p.set_defaults(fn=cmd_cross_validate)
 
     return parser

@@ -10,9 +10,10 @@ One datum per line so files diff cleanly:
     ...
 
 ``n`` must appear exactly once, at most ``CARRIER_LIMIT``.  Every ``nabla``
-line is one triple (x, y, z) meaning z is a value of x*y; duplicate triples
-and duplicate unit elements are rejected.  Parse errors carry the offending
-line number.
+line is one triple (x, y, z) meaning z is a value of x*y; there may be at
+most ``CARRIER_LIMIT ** 2`` of them (a full single-valued table at the cap),
+and duplicate triples and duplicate unit elements are rejected.  Parse
+errors carry the offending line number.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ def parse_structure(text: str) -> FrobeniusCandidate:
         elif field == "nabla":
             if len(values) != 3:
                 raise StructureParseError(lineno, "nabla takes three integers x y z")
+            if len(triples) == CARRIER_LIMIT ** 2:
+                raise StructureParseError(
+                    lineno, f"more than {CARRIER_LIMIT ** 2} nabla lines")
             triples.append((values[0], values[1], values[2]))
             triple_lines.append(lineno)
         elif field == "bot":

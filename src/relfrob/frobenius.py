@@ -15,7 +15,8 @@ bug in one of the routes.
 
 Every composite is a lazy stream of bit rows.  No tensor is built: the
 whiskers ``Rel.whisker_right`` and ``Rel.whisker_left`` read each row of
-(r ⊗ id) >> s and (id ⊗ r) >> s straight off the rows of s.
+(r ⊗ id) >> s and (id ⊗ r) >> s straight off the rows of s.  They are the
+package's one ⊗ kernel (``Rel.tensor`` is a whisker too).
 ``verify_structure`` drains the streams into a report cached on the
 candidate; ``satisfies_axioms`` stops at the first violating row and never
 runs the pointwise route.  The pointwise route works from dicts of products

@@ -415,17 +415,9 @@ def parse_structure_spec(text: str) -> StructureSpec:
                                for b in blocks))
 
 
-def _block_table(b) -> tuple[tuple[int, ...], ...]:
-    return b.table() if isinstance(b, AbelianGroupSpec) else b.table
-
-
 def build_group_structure(g) -> FrobeniusCandidate:
     """The structure of a single group: its multiplication plus its unit."""
-    table = _block_table(g)
-    n = len(table)
-    triples = ((x, y, table[x][y]) for x in range(n) for y in range(n))
-    unit = _find_unit(table)
-    return FrobeniusCandidate.from_triples(n, triples, {unit})
+    return build_biproduct(StructureSpec((g,)))
 
 
 def build_biproduct(spec: StructureSpec) -> FrobeniusCandidate:
@@ -439,7 +431,7 @@ def build_biproduct(spec: StructureSpec) -> FrobeniusCandidate:
     bot = []
     offset = 0
     for b in spec.blocks:
-        table = _block_table(b)
+        table = b.table() if isinstance(b, AbelianGroupSpec) else b.table
         m = len(table)
         for x in range(m):
             for y in range(m):

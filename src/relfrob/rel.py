@@ -95,15 +95,8 @@ class Rel:
         return Rel._unchecked(self.cod, self.dom, tuple(out))
 
     def tensor(self, other: "Rel") -> "Rel":
-        """Parallel pairing on flattened products."""
-        out = []
-        for row in self.rows:
-            for orow in other.rows:
-                acc = 0
-                for b in bits(row):
-                    acc |= orow << (b * other.cod)
-                out.append(acc)
-        return Rel._unchecked(self.dom * other.dom, self.cod * other.cod, tuple(out))
+        """Parallel pairing on flattened products: (self ⊗ id) >> (id ⊗ other)."""
+        return self.whisker_right(other.dom, other, self.cod)
 
     def whisker_right(self, k: int, s: "Rel", m: int = 1) -> "Rel":
         """(self ⊗ id_k) >> (id_m ⊗ s), for self from A to m*B and s from B*k

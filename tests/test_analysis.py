@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import itertools
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+import naive
+import relfrob.analysis
 from conftest import candidate
 from relfrob import (AbelianGroupSpec, BUILTIN_NONABELIAN, DecompositionError,
                      FrobeniusCandidate, PreconditionError,
@@ -15,6 +19,7 @@ from relfrob import (AbelianGroupSpec, BUILTIN_NONABELIAN, DecompositionError,
                      enumerate_special_frobenius, identity, is_partial_bijection,
                      parse_structure_spec, quantum_structure, represent, star,
                      vector, verify_structure)
+from relfrob.analysis import ELEMENTS_CARRIER_LIMIT
 
 
 def built(text: str):
@@ -301,6 +306,21 @@ def test_comonoid_subobjects_keep_the_mono_domain_cap():
         comonoid_subobjects(built("1"), 21)
 
 
+def test_subobject_scan_has_the_element_scan_bound(monkeypatch):
+    n = ELEMENTS_CARRIER_LIMIT + 1
+    assert comonoid_subobjects(built(str(n)), 0) == [Rel(0, n, [])]
+
+    def refuse(*args):
+        raise AssertionError("carrier over the subset scan bound was scanned")
+    monkeypatch.setattr(relfrob.analysis, "_classical_masks", refuse)
+    monkeypatch.setattr(relfrob.analysis, "_require", refuse)
+    with pytest.raises(ValueError, match=f"carrier size {n} exceeds the subset search limit"):
+        comonoid_subobjects(built(str(n)), 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(relfrob.analysis, "_classical_masks", lambda c: [])
+    assert comonoid_subobjects(built(str(n - 1)), 1) == []
+
+
 def test_decomposition_blocks_equal_classical_elements():
     for _, c in all_structures_up_to(6):
         if not verify_structure(c).is_classical:
@@ -323,3 +343,53 @@ def test_eta_matches_reference_formula():
         if not verify_structure(c).is_classical:
             continue
         assert quantum_structure(c).eta == reference_eta(c)
+
+
+# The composites below are whiskers of the bit rows, and Rel.tensor is one
+# too, so they are checked against the pair-set reference instead.
+
+def naive_rows(r: frozenset, dom: int) -> list[frozenset]:
+    return [frozenset(b for a, b in r if a == x) for x in range(dom)]
+
+
+def naive_duality(n: int, eta: frozenset) -> tuple:
+    idn, eps = naive.identity_pairs(n), naive.converse(eta)
+    left = naive.compose(naive.tensor(idn, (n, n), eta, (1, n * n)),
+                         naive.tensor(eps, (n * n, 1), idn, (n, n)))
+    right = naive.compose(naive.tensor(eta, (1, n * n), idn, (n, n)),
+                          naive.tensor(idn, (n, n), eps, (n * n, 1)))
+    for side, composite in (("left", left), ("right", right)):
+        for x, got in enumerate(naive_rows(composite, n)):
+            if got != {x}:
+                return False, (side, x, got)
+    return True, None
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.frozensets(st.integers(0, max(n * n - 1, 0)), max_size=n * n))))
+def test_check_duality_matches_naive_composites(case):
+    n, pairs = case
+    eta = frozenset((0, p) for p in pairs if p < n * n)
+    verdict = check_duality(QuantumStructure(n, Rel.from_pairs(1, n * n, eta)))
+    assert (verdict.ok, verdict.witness) == naive_duality(n, eta)
+
+
+def test_check_duality_matches_naive_on_built_pairings():
+    for _, c in all_structures_up_to(5):
+        q = quantum_structure(c)
+        verdict = check_duality(q)
+        assert verdict.ok and (verdict.ok, verdict.witness) == naive_duality(c.n, q.eta.pairs())
+
+
+def test_represent_and_star_match_naive_composites():
+    for _, c in all_structures_up_to(5):
+        n = c.n
+        nab = c.nabla.pairs()
+        idn = naive.identity_pairs(n)
+        eta = naive.compose(c.bot_vec.pairs(), naive.converse(nab))
+        for phi in subsets(n):
+            vec = frozenset((0, e) for e in phi)
+            acted = naive.compose(naive.tensor(vec, (1, n), idn, (n, n)), nab)
+            assert represent(c, phi).pairs() == acted
+            dual = naive.compose(eta, naive.tensor(naive.converse(vec), (n, 1), idn, (n, n)))
+            assert star(c, phi) == {b for _, b in dual}

@@ -203,10 +203,16 @@ def test_cross_validate_small_carriers(n):
     assert labels == [s.label for s in result.enumerated]
 
 
-def test_cross_validate_requires_budget_at_the_cap():
-    with pytest.raises(ValueError):
-        cross_validate(4)
-    with pytest.raises(ValueError):
+def test_cross_validate_at_the_search_bound_needs_no_budget():
+    result = cross_validate(4)
+    assert result.ok and result.class_count == 6
+    assert sum(size for _, _, size in result.matches) == 53
+
+
+def test_cross_validate_above_the_search_bound_raises():
+    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 4"):
+        cross_validate(5)
+    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 4"):
         cross_validate(5, budget=10)
 
 

@@ -217,6 +217,18 @@ def test_oversized_group_spec_exits_2_before_normalizing(capsys, no_structures):
     assert err.startswith("error: group spec '1000000' has order above")
 
 
+def test_nabla_lines_over_the_cap_exit_2_before_building(tmp_path, capsys, no_structures):
+    cap = CARRIER_LIMIT ** 2
+    lines = [f"n {CARRIER_LIMIT}"]
+    lines += [f"nabla {k // CARRIER_LIMIT % CARRIER_LIMIT} {k % CARRIER_LIMIT} {k // cap}"
+              for k in range(cap + 1)]
+    path = tmp_path / "dense.rel"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: line {cap + 2}: more than {cap} nabla lines\n"
+
+
 def test_carrier_cap_is_inclusive(capsys):
     assert CARRIER_LIMIT >= 120
     code, out, _ = run(capsys, "build", "--groups", f"{CARRIER_LIMIT - 1};1")
@@ -272,10 +284,16 @@ def test_cross_validate_roundtrip(capsys):
     assert out.strip().endswith("2 classes match 2 enumerated structures")
 
 
-def test_cross_validate_needs_budget_at_cap(capsys):
-    code, _, err = run(capsys, "cross-validate", "--n", "4")
-    assert code == 2
-    assert "budget" in err
+def test_cross_validate_at_the_search_bound_needs_no_budget(capsys):
+    code, out, _ = run(capsys, "cross-validate", "--n", "4")
+    assert code == 0
+    assert out.strip().endswith("6 classes match 6 enumerated structures")
+
+
+def test_cross_validate_above_the_search_bound_exits_2(capsys):
+    code, out, err = run(capsys, "cross-validate", "--n", "5")
+    assert code == 2 and out == ""
+    assert err == "error: carrier size 5 exceeds the exhaustive search bound 4\n"
 
 
 def test_machine_output_is_byte_stable(z2_file, capsys):

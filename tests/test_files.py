@@ -9,6 +9,7 @@ from conftest import candidate, relational_tables
 from relfrob import (SearchConfig, StructureParseError, brute_force_search,
                      load_structure, parse_structure, render_structure,
                      save_structure)
+from relfrob.frobenius import CARRIER_LIMIT
 
 
 def test_parse_basic_file():
@@ -95,3 +96,11 @@ def test_save_and_load(tmp_path, z2):
     loaded = load_structure(str(path))
     assert loaded.nabla == z2.nabla and loaded.bot == z2.bot
     assert path.read_text() == render_structure(z2)
+
+
+def test_nabla_line_cap_is_inclusive():
+    # a full single-valued table at the carrier cap has CARRIER_LIMIT ** 2 lines
+    n = CARRIER_LIMIT
+    text = f"n {n}\n" + "".join(f"nabla {x} {y} {(x + y) % n}\n"
+                                 for x in range(n) for y in range(n))
+    assert len(parse_structure(text).triples()) == n * n
