@@ -181,10 +181,9 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
             table[i][j] = v
             if cfg.require_commutative:
                 table[j][i] = v
-            ok = (affected_ok(i, j)
-                  and (i == j or not cfg.require_commutative or affected_ok(j, i))
-                  and units_feasible())
-            if ok:
+            # a commutative table stays symmetric, so affected_ok(j, i) checks
+            # the mirror images (c, b, a) of the triples checked here
+            if affected_ok(i, j) and units_feasible():
                 descend(k + 1)
             table[i][j] = _UNASSIGNED
             if cfg.require_commutative:
@@ -195,10 +194,9 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     return found
 
 
-def _canonical_key(cand: FrobeniusCandidate, sigma) -> tuple:
-    triples = tuple(sorted((sigma[x], sigma[y], sigma[z]) for x, y, z in cand.triples()))
-    bot = tuple(sorted(sigma[e] for e in cand.bot))
-    return (triples, bot)
+def _canonical_key(triples, bot, sigma) -> tuple:
+    return (tuple(sorted((sigma[x], sigma[y], sigma[z]) for x, y, z in triples)),
+            tuple(sorted(sigma[e] for e in bot)))
 
 
 def quotient_by_iso(cands: list[FrobeniusCandidate]) -> list[tuple[FrobeniusCandidate, int]]:
@@ -217,7 +215,8 @@ def quotient_by_iso(cands: list[FrobeniusCandidate]) -> list[tuple[FrobeniusCand
             f"carrier size {n} exceeds the relabeling bound {QUOTIENT_CARRIER_LIMIT}")
     classes: dict[tuple, int] = {}
     for cand in cands:
-        key = min(_canonical_key(cand, sigma) for sigma in permutations(range(n)))
+        triples = cand.triples()
+        key = min(_canonical_key(triples, cand.bot, sigma) for sigma in permutations(range(n)))
         classes[key] = classes.get(key, 0) + 1
     out = []
     for (triples, bot), size in sorted(classes.items()):

@@ -24,7 +24,7 @@ from .analysis import (DecompositionError, PreconditionError, check_duality,
 from .classify import (BudgetExceededError, SearchConfig, brute_force_search,
                        cross_validate, enumerate_classical_structures,
                        enumerate_special_frobenius, quotient_by_iso)
-from .files import StructureParseError, load_structure, render_structure
+from .files import load_structure, render_structure
 from .frobenius import FroWitness, Verdict, verify_structure
 from .groups import build_biproduct, parse_structure_spec
 
@@ -253,16 +253,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload, lines = args.fn(args)
-    except (StructureParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExceededError as exc:
         print(f"error: {exc} ({len(exc.found)} candidates found so far)", file=sys.stderr)
         return 1
     except (PreconditionError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "machine" and payload is not None:

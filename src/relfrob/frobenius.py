@@ -137,8 +137,7 @@ class AxiomReport:
 
     @property
     def is_classical(self) -> bool:
-        return (self.associativity.ok and self.left_unit.ok and self.right_unit.ok
-                and self.commutativity.ok and self.special.ok and self.frobenius.ok)
+        return self.is_special_frobenius and self.commutativity.ok
 
     @property
     def is_special_frobenius(self) -> bool:
@@ -314,4 +313,6 @@ def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
                 violations.append((i, j))
     if not violations:
         return Verdict(True)
-    return Verdict(False, frobenius_sets_at(c, *violations[0]), tuple(violations))
+    i, j = violations[0]
+    return Verdict(False, FroWitness(i, j, *map(frozenset, _sets_at(index, i, j))),
+                   tuple(violations))

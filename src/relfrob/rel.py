@@ -18,8 +18,6 @@ from itertools import repeat
 from operator import lshift, or_
 from typing import Iterable, Iterator
 
-MONO_DOMAIN_LIMIT = 20
-
 
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask, lowest first."""
@@ -126,21 +124,15 @@ class Rel:
     def is_mono(self) -> bool:
         """Whether the direct-image map on subsets is injective.
 
-        Enumerates all 2^dom subsets incrementally, so the domain is capped.
+        It is exactly when every row has a private bit, one that no other
+        row has: then the image of a subset names it, and a row without one
+        is covered by the others, so dropping it leaves the image unchanged.
         """
-        if self.dom > MONO_DOMAIN_LIMIT:
-            raise ValueError(
-                f"is_mono domain {self.dom} exceeds limit {MONO_DOMAIN_LIMIT}")
-        images = [0] * (1 << self.dom)
-        seen = {0}
-        for mask in range(1, 1 << self.dom):
-            low = mask & -mask
-            img = images[mask ^ low] | self.rows[low.bit_length() - 1]
-            images[mask] = img
-            seen.add(img)
-            if len(seen) != mask + 1:
-                return False
-        return True
+        seen = shared = 0  # shared: the bits of two or more rows
+        for row in self.rows:
+            shared |= seen & row
+            seen |= row
+        return all(row & ~shared for row in self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rel):

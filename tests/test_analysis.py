@@ -301,9 +301,12 @@ def test_comonoid_subobjects_into_the_empty_carrier():
         assert comonoid_subobjects(empty, m) == []
 
 
-def test_comonoid_subobjects_keep_the_mono_domain_cap():
-    with pytest.raises(ValueError, match="is_mono domain 21 exceeds limit 20"):
-        comonoid_subobjects(built("1"), 21)
+def test_comonoid_subobjects_above_twenty_source_points():
+    one = built("1")
+    assert comonoid_subobjects(one, 1) == [Rel(1, 1, [1])]
+    # m >= 2 points cannot map monically into one point
+    for m in range(21, 25):
+        assert comonoid_subobjects(one, m) == []
 
 
 def test_subobject_scan_has_the_element_scan_bound(monkeypatch):

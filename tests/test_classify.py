@@ -135,12 +135,15 @@ def test_search_output_is_sorted_and_duplicate_free():
 
 
 def test_search_without_commutativity_requirement():
-    # every special Frobenius structure this small is commutative anyway
-    sym = brute_force_search(SearchConfig(2))
-    free = brute_force_search(SearchConfig(2, require_commutative=False))
-    assert {(c.triples(), c.bot) for c in free} == {(c.triples(), c.bot) for c in sym}
-    for c in free:
-        assert verify_structure(c).is_special_frobenius
+    # the commutative search prunes on one associativity pass per cell pair;
+    # it must keep exactly the commutative results of the unrestricted search
+    for n in (2, 3, 4):
+        sym = brute_force_search(SearchConfig(n))
+        free = brute_force_search(SearchConfig(n, require_commutative=False))
+        for c in free:
+            assert verify_structure(c).is_special_frobenius
+        assert [c for c in free if verify_structure(c).is_classical] == sym
+    assert (len(sym), len(free)) == (53, 65)  # n = 4
 
 
 def test_search_carrier_cap():

@@ -183,12 +183,16 @@ def test_is_mono_examples():
     assert not Rel(1, 3, [0]).is_mono()
 
 
-def test_is_mono_domain_cap():
-    with pytest.raises(ValueError):
-        Rel(21, 1, [1] * 21).is_mono()
+def test_is_mono_answers_large_domains():
+    assert identity(64).is_mono()
+    assert not Rel(21, 1, [1] * 21).is_mono()
+    # row 39 is the union of rows 0 and 1, so it has no private bit
+    rows = [1 << a for a in range(39)] + [0b11]
+    assert not Rel(40, 39, rows).is_mono()
 
 
-@given(rel_between(3, 3))
+@given(st.integers(0, 8).flatmap(
+    lambda dom: st.integers(0, 6).flatmap(lambda cod: rel_between(dom, cod))))
 def test_is_mono_matches_exhaustive_subset_check(r):
     images = set()
     expected = True
