@@ -24,7 +24,7 @@ from .groups import (BUILTIN_NONABELIAN, AbelianGroupSpec, GroupSpec, StructureS
                      enumerate_abelian_groups, identify_group,
                      invariant_factors_of_table, normalize_invariant_factors,
                      parse_structure_spec, partitions)
-from .rel import Rel, bits, identity, swap, vector
+from .rel import Rel, bits, identity, vector
 
 __all__ = [
     "AbelianGroupSpec", "AxiomReport", "BUILTIN_NONABELIAN", "BudgetExceededError",
@@ -42,5 +42,5 @@ __all__ = [
     "parse_structure", "parse_structure_spec", "partitions", "quantum_structure",
     "quotient_by_iso", "render_structure", "represent", "satisfies_axioms",
     "save_structure", "star",
-    "swap", "vector", "verify_structure", "brute_force_search",
+    "vector", "verify_structure", "brute_force_search",
 ]

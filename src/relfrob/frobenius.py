@@ -8,10 +8,12 @@ is the identity) and the interchange law relating multiplication to
 copying, and returns witnessed verdicts for each.
 
 The interchange law is checked twice, by independent routes: once by
-composing the three relation diagrams and comparing them row by row, and
-once pointwise from the partial-operation reading of the multiplication.
-The two verdicts must be structurally identical; a discrepancy indicates a
-bug in one of the routes.
+composing the relation diagrams and comparing them row by row, and once
+pointwise from the partial-operation reading of the multiplication.  The
+two verdicts must be structurally identical; a discrepancy indicates a bug
+in one of the routes.  The composite route computes the fiber and one split
+only: the other split is its converse, because delta is nabla's converse,
+and on failure it is read off the rows where the first split differs.
 
 Every composite is a lazy stream of bit rows.  No tensor is built: the
 whiskers ``Rel.whisker_right`` and ``Rel.whisker_left`` read each row of
@@ -26,8 +28,9 @@ indexed by value and shares no code with the bit rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress, count, tee
-from operator import ne
+from operator import ne, or_
 from typing import Iterable, Iterator
 
 from .rel import Rel, bits, identity, vector
@@ -107,6 +110,9 @@ class FroWitness:
     fiber        pairs whose product agrees with i*j
     split_left   pairs (x, y'*j) over splittings x*y' of i
     split_right  pairs (i*x', y) over splittings x'*y of j
+
+    (x, y) is in split_right at (i, j) exactly when (i, j) is in split_left
+    at (x, y), so the composite route derives split_right, never composes it.
     """
 
     i: int
@@ -197,14 +203,15 @@ def _commutativity(c: FrobeniusCandidate) -> Iterator[tuple]:
 
 
 def _interchange(c: FrobeniusCandidate) -> Iterator[tuple]:
-    """(i, j, fiber, split-left, split-right) rows where the three differ."""
+    """(index, fiber row, split-left row) wherever the two differ.
+
+    Split-right, (id ⊗ delta) >> (nabla ⊗ id), is the converse of split-left,
+    (delta ⊗ id) >> (id ⊗ nabla), because delta is nabla's converse; and the
+    fiber nabla >> delta is its own converse.  So once split-left equals the
+    fiber row by row, split-right does too, and it is never computed.
+    """
     n, nab, delta = c.n, c.nabla, c.delta
-    fiber = (nab >> delta).rows
-    split_left = delta.whisker_right_rows(n, nab, n)  # (delta ⊗ id) >> (id ⊗ nabla)
-    split_right = delta.whisker_left_rows(n, nab, n)  # (id ⊗ delta) >> (nabla ⊗ id)
-    for p, rf, rl, rr in zip(count(), fiber, split_left, split_right):
-        if not rf == rl == rr:
-            yield (*divmod(p, n), rf, rl, rr)
+    return _mismatches((nab >> delta).rows, delta.whisker_right_rows(n, nab, n))
 
 
 def _first(violations: Iterator[tuple]) -> Verdict:
@@ -213,12 +220,19 @@ def _first(violations: Iterator[tuple]) -> Verdict:
 
 
 def _interchange_verdict(c: FrobeniusCandidate) -> Verdict:
-    bad = list(_interchange(c))
-    if not bad:
+    diff = {p: rf ^ rl for p, rf, rl in _interchange(c)}  # D = split-left xor fiber
+    if not diff:
         return Verdict(True)
-    i, j, *routes = bad[0]
-    sets = (frozenset(divmod(b, c.n) for b in bits(row)) for row in routes)
-    return Verdict(False, FroWitness(i, j, *sets), tuple((i, j) for i, j, *_ in bad))
+    # split-right = fiber xor D's converse, so its row p leaves the fiber
+    # exactly where some row of D has bit p
+    bad = sorted(diff.keys() | set(bits(reduce(or_, diff.values()))))
+    n, p = c.n, bad[0]
+    fiber = reduce(or_, map(c.delta.rows.__getitem__, bits(c.nabla.rows[p])), 0)
+    right = sum(1 << q for q, d in diff.items() if d >> p & 1)
+    rows = fiber, fiber ^ diff.get(p, 0), fiber ^ right
+    sets = (frozenset(divmod(b, n) for b in bits(row)) for row in rows)
+    return Verdict(False, FroWitness(*divmod(p, n), *sets),
+                   tuple(divmod(q, n) for q in bad))
 
 
 def verify_structure(c: FrobeniusCandidate) -> AxiomReport:

@@ -179,11 +179,6 @@ def identity(n: int) -> Rel:
     return Rel(n, n, (1 << a for a in range(n)))
 
 
-def swap(m: int, n: int) -> Rel:
-    """The symmetry m*n -> n*m sending (a, b) to (b, a)."""
-    return Rel(m * n, n * m, (1 << (b * m + a) for a in range(m) for b in range(n)))
-
-
 def vector(n: int, elems: Iterable[int]) -> Rel:
     """A subset of {0..n-1} as a relation from the one-element set."""
     mask = 0

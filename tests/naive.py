@@ -29,6 +29,11 @@ def identity_pairs(n: int) -> frozenset:
     return frozenset((i, i) for i in range(n))
 
 
+def swap(m: int, n: int) -> frozenset:
+    """The symmetry m*n -> n*m sending (a, b) to (b, a)."""
+    return frozenset((a * n + b, b * m + a) for a in range(m) for b in range(n))
+
+
 def products_of(triples) -> dict[tuple[int, int], set[int]]:
     prod: dict[tuple[int, int], set[int]] = {}
     for x, y, z in triples:

@@ -157,6 +157,73 @@ def test_frobenius_sets_match_reference_routes(table):
                 divmod(t, n) for s, t in right if s == src)
 
 
+@st.composite
+def multi_valued_tables(draw, max_n: int = 5):
+    """A possibly multi-valued operation with no symmetry imposed, plus a unit subset."""
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return 0, (), frozenset()
+    cell = st.frozensets(st.integers(0, n - 1), max_size=3)
+    triples = tuple((x, y, z) for x in range(n) for y in range(n) for z in draw(cell))
+    return n, triples, draw(st.frozensets(st.integers(0, n - 1)))
+
+
+@given(multi_valued_tables())
+def test_split_right_is_split_left_converse_and_fiber_self_converse(table):
+    # the lemma the checker rests on: delta = nabla converse, so the two
+    # splits are each other's converse, and the fiber is its own
+    c = candidate(*table)
+    n, nab, delta = c.n, c.nabla, c.delta
+    assert delta.whisker_left(n, nab, n) == delta.whisker_right(n, nab, n).converse()
+    assert (nab >> delta) == (nab >> delta).converse()
+
+
+def _reference_interchange(n, triples) -> tuple:
+    """The interchange verdict rebuilt from the three naive composites."""
+    routes = naive.frobenius_routes(n, triples)
+
+    def sets_at(p):
+        return tuple(frozenset(divmod(t, n) for s, t in route if s == p) for route in routes)
+    bad = [p for p in range(n * n) if len(set(sets_at(p))) > 1]
+    if not bad:
+        return True, None, ()
+    return (False, FroWitness(*divmod(bad[0], n), *sets_at(bad[0])),
+            tuple(divmod(p, n) for p in bad))
+
+
+@given(multi_valued_tables())
+def test_multi_valued_interchange_verdict_matches_naive_routes(table):
+    # the pointwise route cannot cross-check these tables
+    n, triples, _ = table
+    v = verify_structure(candidate(*table)).frobenius
+    assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
+
+
+def test_pair_violating_only_through_split_right():
+    # at (0, 0) split-left equals the fiber; only split-right, the converse
+    # side, leaves it
+    triples = ((0, 0, 0), (0, 0, 1), (0, 1, 0))
+    v = verify_structure(candidate(2, triples, [0])).frobenius
+    assert v.witness == FroWitness(0, 0, frozenset({(0, 0), (0, 1)}),
+                                   frozenset({(0, 0), (0, 1)}),
+                                   frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
+    assert (v.ok, v.witness, v.violations) == _reference_interchange(2, triples)
+
+
+def test_passing_checks_never_compute_split_right(monkeypatch):
+    # split-right is the only composite of the form (id ⊗ r) >> (s ⊗ id_m), m > 1
+    whisker_left_rows = relfrob.Rel.whisker_left_rows
+
+    def spy(self, k, s, m=1):
+        if m > 1:
+            raise AssertionError("split-right computed")
+        return whisker_left_rows(self, k, s, m)
+    monkeypatch.setattr(relfrob.Rel, "whisker_left_rows", spy)
+    assert verify_structure(build_biproduct(parse_structure_spec("2;3"))).is_classical
+    c = build_biproduct(parse_structure_spec("2;3"))
+    assert satisfies_axioms(c) and satisfies_axioms(c, commutative=False)
+
+
 def test_comonoid_laws_hold_for_verified_structures(z2, standard2, z3):
     # coassociativity and counit laws follow by taking converses
     from relfrob import identity
