@@ -95,7 +95,10 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     """Every structure on the labeled carrier passing the axiom checker.
 
     Fills cells of a partial single-valued table depth first, pruning on
-    associativity over the decided prefix and on unit coverage.  The unit
+    associativity over the decided prefix, on unit coverage, and on
+    inverses: every x needs an a with x*a and a*x units (proof in
+    ``units_feasible``).  The rules cut only subtrees without an accepted
+    leaf, and every leaf still runs the full ``satisfies_axioms``.  The unit
     subset is never guessed: for each complete table it is forced to be the
     set of all two-sided partial identities, which is the only subset that
     can satisfy the unit laws.  n is capped at ``SEARCH_CARRIER_LIMIT``;
@@ -151,11 +154,26 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
         return False
 
     def units_feasible() -> bool:
+        """Can a completion still have a unit on each side of every x, and an inverse?
+
+        Inverses: at an accepted leaf the unit laws give e', e in bot with
+        e'*x = x and x*e = x, so the fiber at (x, e) contains (e', x).
+        Interchange makes that fiber equal split-right(x, e) =
+        {(x*a, b) : a*b = e}, so some a has x*a = e' and a*x = e, both in
+        bot.  Disqualification only grows as cells are decided and an
+        undefined cell stays undefined, so bot at any leaf below lies inside
+        ``live`` here.  A node where some x has no a with x*a and a*x each
+        unassigned or live therefore has no accepted leaf below it.
+        """
         live = [e for e in range(n) if not disqualified(e)]
+        open_unit = {_UNASSIGNED, *live}
         for x in range(n):
             if not any(table[e][x] == x or table[e][x] == _UNASSIGNED for e in live):
                 return False
             if not any(table[x][e] == x or table[x][e] == _UNASSIGNED for e in live):
+                return False
+            if not any(table[x][a] in open_unit and table[a][x] in open_unit
+                       for a in range(n)):
                 return False
         return True
 

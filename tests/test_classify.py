@@ -10,10 +10,11 @@ import hypothesis.strategies as st
 
 import naive
 from conftest import candidate
+import relfrob.classify
 from relfrob import (BudgetExceededError, SearchConfig, brute_force_search,
-                     cross_validate, enumerate_classical_structures,
-                     enumerate_special_frobenius, partitions, quotient_by_iso,
-                     verify_structure)
+                     build_biproduct, cross_validate,
+                     enumerate_classical_structures, enumerate_special_frobenius,
+                     partitions, quotient_by_iso, verify_structure)
 from test_groups import abelian_group_count
 
 
@@ -93,22 +94,31 @@ def test_special_extends_classical_by_nonabelian_blocks():
         enumerate_special_frobenius(9)
 
 
-# positions of the three independent cells of a commutative table on 2
+# positions of the independent cells of a table on 2: three when commutative
 _CELLS2 = ((0, 0), (0, 1), (1, 1))
+_ALL_CELLS2 = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def reference_search_2() -> set:
-    """Filter every commutative partial table on two elements directly."""
+def reference_search_2(commutative: bool = True) -> set:
+    """Filter every partial table on two elements directly, with no pruning.
+
+    27 symmetric tables when commutative, otherwise all 81 tables with
+    commutativity ignored; each is tried with all 4 unit subsets.
+    """
+    cells = _CELLS2 if commutative else _ALL_CELLS2
     found = set()
-    for values in itertools.product((-1, 0, 1), repeat=3):
+    for values in itertools.product((-1, 0, 1), repeat=len(cells)):
         triples = set()
-        for (x, y), z in zip(_CELLS2, values):
+        for (x, y), z in zip(cells, values):
             if z >= 0:
                 triples.add((x, y, z))
-                triples.add((y, x, z))
+                if commutative:
+                    triples.add((y, x, z))
         for bot_bits in range(4):
             bot = frozenset(e for e in range(2) if bot_bits >> e & 1)
             checks = naive.axioms(2, sorted(triples), bot)
+            if not commutative:
+                del checks["commutativity"]
             if all(checks.values()):
                 found.add((tuple(sorted(triples)), bot))
     return found
@@ -118,6 +128,72 @@ def test_search_matches_unpruned_filter_n2():
     cands = brute_force_search(SearchConfig(2))
     got = {(c.triples(), c.bot) for c in cands}
     assert got == reference_search_2()
+
+
+def test_noncommutative_search_matches_unpruned_filter_n2():
+    cands = brute_force_search(SearchConfig(2, require_commutative=False))
+    got = {(c.triples(), c.bot) for c in cands}
+    assert got == reference_search_2(commutative=False)
+
+
+def _lands_in_bot(c, x: int, y: int) -> bool:
+    product = c.product(x, y)
+    return len(product) == 1 and product <= c.bot
+
+
+def has_inverses(c) -> bool:
+    """Every x has an a with x*a and a*x both in bot."""
+    return all(any(_lands_in_bot(c, x, a) and _lands_in_bot(c, a, x) for a in range(c.n))
+               for x in range(c.n))
+
+
+def test_inverse_lemma_holds_in_special_frobenius_structures():
+    # the search's inverse rule rests on this: unit laws plus interchange
+    # force an inverse for every element, commutative or not
+    structures = [build_biproduct(spec)
+                  for n in range(9) for spec in enumerate_special_frobenius(n)]
+    arrows = [(2 * i + j, 2 * j + k, 2 * i + k)
+              for i in range(2) for j in range(2) for k in range(2)]
+    structures.append(candidate(4, arrows, [0, 3]))  # the pair groupoid
+    for n in range(5):
+        structures += brute_force_search(SearchConfig(n, require_commutative=False))
+    for c in structures:
+        assert verify_structure(c).is_special_frobenius
+        assert has_inverses(c), c
+
+
+def test_inverse_lemma_needs_interchange(max_monoid):
+    # the two-point semilattice (0 the unit, 1*1 = 1) passes every axiom
+    # except interchange, and 1 has no inverse
+    report = verify_structure(max_monoid)
+    failed = [name for name, verdict in report.axioms() if verdict is not None and not verdict.ok]
+    assert failed == ["frobenius", "frobenius-pointwise"]
+    assert not any(_lands_in_bot(max_monoid, 1, a) for a in range(2))
+    assert not has_inverses(max_monoid)
+
+
+@pytest.mark.parametrize("commutative,accepted", [(True, 53), (False, 65)])
+def test_search_verifies_only_leaves_it_accepts_n4(monkeypatch, commutative, accepted):
+    # the pruning rules leave no leaf the full axiom check would reject
+    verified = []
+    check = relfrob.classify.satisfies_axioms
+
+    def spy(cand, commutative):
+        verified.append(cand)
+        return check(cand, commutative)
+
+    monkeypatch.setattr(relfrob.classify, "satisfies_axioms", spy)
+    cands = brute_force_search(SearchConfig(4, require_commutative=commutative))
+    assert len(cands) == len(verified) == accepted
+
+
+@pytest.mark.parametrize("commutative,nodes", [(True, 6440), (False, 23210)])
+def test_search_node_count_n4(commutative, nodes):
+    # the least budget that completes is the number of nodes explored
+    brute_force_search(SearchConfig(4, require_commutative=commutative, budget=nodes))
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force_search(SearchConfig(4, require_commutative=commutative, budget=nodes - 1))
+    assert info.value.explored == nodes
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 3), (3, 10)])
