@@ -19,9 +19,8 @@ from .frobenius import (AxiomReport, FrobeniusCandidate, FroWitness, Verdict,
                         check_fro_pointwise, frobenius_sets_at, satisfies_axioms,
                         verify_structure)
 from .groups import (BUILTIN_NONABELIAN, AbelianGroupSpec, GroupSpec, StructureSpec,
-                     abelian_table, are_isomorphic, build_biproduct,
-                     build_group_structure, element_orders,
-                     enumerate_abelian_groups, identify_group,
+                     abelian_table, build_biproduct, build_group_structure,
+                     element_orders, enumerate_abelian_groups, identify_group,
                      invariant_factors_of_table, normalize_invariant_factors,
                      parse_structure_spec, partitions)
 from .rel import Rel, bits, identity, vector
@@ -32,7 +31,7 @@ __all__ = [
     "FrobeniusCandidate",
     "GroupSpec", "PreconditionError", "QuantumStructure", "Rel", "SearchConfig",
     "StructureParseError", "StructureSpec", "Verdict", "abelian_table",
-    "are_isomorphic", "bits", "build_biproduct", "build_group_structure",
+    "bits", "build_biproduct", "build_group_structure",
     "check_duality",
     "check_fro_pointwise", "classical_elements", "comonoid_subobjects",
     "cross_validate", "decompose", "element_orders", "enumerate_abelian_groups",

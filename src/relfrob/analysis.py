@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .frobenius import FrobeniusCandidate, Verdict, verify_structure
-from .groups import (AbelianGroupSpec, GroupSpec, StructureSpec, identify_group,
-                     invariant_factors_of_table)
+from .groups import (AbelianGroupSpec, GroupSpec, StructureSpec, _is_commutative,
+                     identify_group, invariant_factors_of_table)
 from .rel import Rel, bits, vector
 
 ELEMENTS_CARRIER_LIMIT = 20
@@ -179,7 +179,6 @@ def decompose(c: FrobeniusCandidate) -> DecompositionResult:
     spec_blocks = []
     for e, members in blocks:
         index = {x: k for k, x in enumerate(members)}
-        m = len(members)
         table = []
         for x in members:
             row = []
@@ -197,7 +196,7 @@ def decompose(c: FrobeniusCandidate) -> DecompositionResult:
                     _expect(not c.product(y, x), f"cross-block product {y}*{x} defined")
         table = tuple(table)
         group: AbelianGroupSpec | GroupSpec
-        if all(table[a][b] == table[b][a] for a in range(m) for b in range(a + 1, m)):
+        if _is_commutative(table):
             group = AbelianGroupSpec(invariant_factors_of_table(table))
         else:
             group = identify_group(table)

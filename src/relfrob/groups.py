@@ -76,6 +76,11 @@ def _find_unit(table) -> int:
     raise ValueError("table has no unit element")
 
 
+def _is_commutative(table) -> bool:
+    n = len(table)
+    return all(table[a][b] == table[b][a] for a in range(n) for b in range(a + 1, n))
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A finite group given by an explicit Cayley table.
@@ -113,14 +118,8 @@ class GroupSpec:
         return len(self.table)
 
     @property
-    def unit(self) -> int:
-        return _find_unit(self.table)
-
-    @property
     def is_abelian(self) -> bool:
-        t = self.table
-        n = len(t)
-        return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
+        return _is_commutative(self.table)
 
     @property
     def label(self) -> str:
@@ -174,13 +173,19 @@ def nonabelian_groups_of_order(m: int) -> list[GroupSpec]:
 
 
 def element_orders(table) -> list[int]:
-    """Order of each element, indexed by element."""
+    """Order of each element, indexed by element.
+
+    In a group no order exceeds the table size, so an element whose first
+    n powers miss the unit raises ValueError instead of looping.
+    """
     n = len(table)
     unit = _find_unit(table)
     out = []
     for x in range(n):
         p, k = x, 1
         while p != unit:
+            if k == n:
+                raise ValueError(f"powers of element {x} never reach the unit")
             p = table[p][x]
             k += 1
         out.append(k)
@@ -265,84 +270,37 @@ def enumerate_abelian_groups(m: int) -> list[AbelianGroupSpec]:
 
 
 def invariant_factors_of_table(table) -> tuple[int, ...]:
-    """Invariant factors of an abelian Cayley table.
+    """Invariant factors of an abelian Cayley table, from its element orders.
 
-    Repeatedly splits off a cyclic subgroup of maximal order and recurses
-    on the quotient.  Raises ValueError on a non-abelian table.
+    For each prime p the c_k elements of order dividing p^k number
+    p^(r_1 + ... + r_k), where r_k cyclic p-factors have order at least
+    p^k; so p^k occurs r_k - r_(k+1) times.  Raises ValueError on a
+    non-abelian table.
     """
-    n = len(table)
-    if any(table[a][b] != table[b][a] for a in range(n) for b in range(a + 1, n)):
+    if not _is_commutative(table):
         raise ValueError("table is not abelian")
-    factors = []
-    while len(table) > 1:
-        n = len(table)
-        unit = _find_unit(table)
-        orders = element_orders(table)
-        m = max(orders)
-        g = orders.index(m)
-        factors.append(m)
-        sub = {unit}
-        p = g
-        while p != unit:
-            sub.add(p)
-            p = table[p][g]
-        # quotient by the cyclic subgroup generated by g
-        coset_of = {}
-        reps = []
-        for x in range(n):
-            if x in coset_of:
-                continue
-            idx = len(reps)
-            reps.append(x)
-            for h in sub:
-                coset_of[table[x][h]] = idx
-        table = tuple(
-            tuple(coset_of[table[a][b]] for b in reps) for a in reps)
-    return tuple(reversed(factors))
-
-
-def are_isomorphic(t1, t2) -> bool:
-    """Isomorphism of two small Cayley tables by backtracking search."""
-    n = len(t1)
-    if len(t2) != n:
-        return False
-    o1, o2 = element_orders(t1), element_orders(t2)
-    if sorted(o1) != sorted(o2):
-        return False
-    by_order: dict[int, list[int]] = {}
-    for y, k in enumerate(o2):
-        by_order.setdefault(k, []).append(y)
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(x: int) -> bool:
-        if x == n:
-            return all(mapping[t1[a][b]] == t2[mapping[a]][mapping[b]]
-                       for a in range(n) for b in range(n))
-        for y in by_order.get(o1[x], ()):
-            if used[y]:
-                continue
-            mapping[x] = y
-            used[y] = True
-            ok = all(
-                mapping[t1[a][x]] == -1 or mapping[t1[a][x]] == t2[mapping[a]][y]
-                for a in range(x + 1)) and all(
-                mapping[t1[x][a]] == -1 or mapping[t1[x][a]] == t2[y][mapping[a]]
-                for a in range(x + 1))
-            if ok and extend(x + 1):
-                return True
-            used[y] = False
-            mapping[x] = -1
-        return False
-
-    return extend(0)
+    orders = element_orders(table)
+    prime_powers = []
+    for p, e in _factorize(len(table)).items():
+        counts = [sum(p ** k % o == 0 for o in orders) for k in range(e + 1)]
+        ranks = [_factorize(counts[k] // counts[k - 1]).get(p, 0)
+                 for k in range(1, e + 1)] + [0]
+        for k in range(1, e + 1):
+            prime_powers += [p ** k] * (ranks[k - 1] - ranks[k])
+    return normalize_invariant_factors(prime_powers).invariant_factors
 
 
 def identify_group(table) -> GroupSpec:
-    """Name a Cayley table when it matches the built-in library."""
+    """Name a Cayley table when it matches the built-in library.
+
+    Order and element orders decide it: S3, D4 and Q8 are every non-abelian
+    group of order at most 8, and no two groups of order 6 or 8 share their
+    multiset of element orders.
+    """
     spec = GroupSpec(tuple(tuple(row) for row in table))
-    for g in BUILTIN_NONABELIAN.values():
-        if g.order == spec.order and are_isomorphic(spec.table, g.table):
+    orders = sorted(element_orders(spec.table))
+    for g in nonabelian_groups_of_order(spec.order):
+        if sorted(element_orders(g.table)) == orders:
             return g
     return spec
 

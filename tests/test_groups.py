@@ -12,8 +12,8 @@ import hypothesis.strategies as st
 
 import relfrob.groups
 from relfrob import (AbelianGroupSpec, BUILTIN_NONABELIAN, GroupSpec,
-                     StructureSpec, abelian_table, are_isomorphic,
-                     build_biproduct, build_group_structure, element_orders,
+                     StructureSpec, abelian_table, build_biproduct,
+                     build_group_structure, element_orders,
                      enumerate_abelian_groups, identify_group,
                      invariant_factors_of_table, normalize_invariant_factors,
                      parse_structure_spec, verify_structure)
@@ -149,19 +149,29 @@ def test_normalize_invariant_factors():
 
 def test_normalization_preserves_isomorphism_type():
     spec = normalize_invariant_factors([4, 6])
-    assert are_isomorphic(abelian_table((4, 6)), spec.table())
-    assert not are_isomorphic(abelian_table((4, 6)), abelian_table((24,)))
+    assert invariant_factors_of_table(abelian_table((4, 6))) == spec.invariant_factors
+    assert invariant_factors_of_table(abelian_table((24,))) != spec.invariant_factors
+
+
+def relabel(table, perm):
+    inv = [perm.index(i) for i in range(len(perm))]
+    return tuple(tuple(perm[table[inv[a]][inv[b]]] for b in range(len(perm)))
+                 for a in range(len(perm)))
 
 
 @settings(deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=0, max_size=3).filter(
-    lambda fs: math.prod(fs) <= 30))
-def test_invariant_factors_of_table_inverts_construction(orders):
+    lambda fs: math.prod(fs) <= 30), st.randoms(use_true_random=False))
+def test_invariant_factors_of_table_inverts_construction(orders, rng):
     spec = normalize_invariant_factors(orders)
     assert invariant_factors_of_table(spec.table()) == spec.invariant_factors
     # also from the unnormalized direct-product table
-    assert invariant_factors_of_table(
-        abelian_table(tuple(orders))) == spec.invariant_factors
+    table = abelian_table(tuple(orders))
+    assert invariant_factors_of_table(table) == spec.invariant_factors
+    # and relabeled, so the unit may sit anywhere
+    perm = list(range(len(table)))
+    rng.shuffle(perm)
+    assert invariant_factors_of_table(relabel(table, perm)) == spec.invariant_factors
 
 
 def test_invariant_factors_rejects_nonabelian():
@@ -169,21 +179,29 @@ def test_invariant_factors_rejects_nonabelian():
         invariant_factors_of_table(BUILTIN_NONABELIAN["S3"].table)
 
 
-def test_are_isomorphic_under_relabeling():
-    t = abelian_table((2, 2))
-    perm = (2, 0, 3, 1)
-    inv = [perm.index(i) for i in range(4)]
-    relabeled = tuple(tuple(perm[t[inv[a]][inv[b]]] for b in range(4))
-                      for a in range(4))
-    assert are_isomorphic(t, relabeled)
+@pytest.mark.parametrize("table", [((0, 1), (1, 1)),
+                                   ((0, 1, 2), (1, 2, 2), (2, 2, 2))])
+def test_element_orders_stop_on_a_monoid(table):
+    # commutative monoids with a unit, where the powers of 1 stick at an
+    # idempotent other than the unit
+    with pytest.raises(ValueError, match="element 1 never reach the unit"):
+        element_orders(table)
+    with pytest.raises(ValueError, match="element 1 never reach the unit"):
+        invariant_factors_of_table(table)
 
 
-def test_are_isomorphic_negative_cases():
-    assert not are_isomorphic(abelian_table((4,)), abelian_table((2, 2)))
-    assert not are_isomorphic(BUILTIN_NONABELIAN["S3"].table, abelian_table((6,)))
-    assert not are_isomorphic(BUILTIN_NONABELIAN["D4"].table,
-                              BUILTIN_NONABELIAN["Q8"].table)
-    assert not are_isomorphic(BUILTIN_NONABELIAN["D4"].table, abelian_table((2, 4)))
+def test_element_orders_separate_groups_of_order_6_and_8():
+    # identify_group names a table by its order and element orders; that is
+    # exact because these are all 2 groups of order 6 and all 5 of order 8
+    for m, count in ((6, 2), (8, 5)):
+        abelian = [g.table() for g in enumerate_abelian_groups(m)]
+        builtin = [g.table for g in BUILTIN_NONABELIAN.values() if g.order == m]
+        tables = abelian + builtin
+        assert len(tables) == count
+        assert len({tuple(sorted(element_orders(t))) for t in tables}) == count
+        for t in abelian:
+            assert identify_group(t).name is None
+            assert identify_group(relabel(t, list(range(m))[::-1])).name is None
 
 
 def dihedral_table(k: int):
@@ -197,11 +215,7 @@ def dihedral_table(k: int):
 
 
 def test_identify_group_builtin_and_fallback():
-    relabel = (3, 4, 5, 0, 1, 2)
-    s3 = BUILTIN_NONABELIAN["S3"].table
-    inv = [relabel.index(i) for i in range(6)]
-    shuffled = tuple(tuple(relabel[s3[inv[a]][inv[b]]] for b in range(6))
-                     for a in range(6))
+    shuffled = relabel(BUILTIN_NONABELIAN["S3"].table, (3, 4, 5, 0, 1, 2))
     assert identify_group(shuffled).name == "S3"
     d5 = identify_group(dihedral_table(5))
     assert d5.name is None
@@ -209,7 +223,7 @@ def test_identify_group_builtin_and_fallback():
 
 
 def test_dihedral_table_matches_builtin_d4():
-    assert are_isomorphic(dihedral_table(4), BUILTIN_NONABELIAN["D4"].table)
+    assert identify_group(dihedral_table(4)).name == "D4"
 
 
 def test_structure_spec_canonical_order_and_label():
