@@ -190,6 +190,27 @@ def test_element_orders_stop_on_a_monoid(table):
         invariant_factors_of_table(table)
 
 
+def test_are_isomorphic_under_relabeling():
+    # a relabeled table is the same group: same invariants, same name
+    t = abelian_table((2, 2))
+    relabeled = relabel(t, (2, 0, 3, 1))
+    assert relabeled != t
+    assert invariant_factors_of_table(relabeled) == invariant_factors_of_table(t) == (2, 2)
+    assert sorted(element_orders(relabeled)) == sorted(element_orders(t))
+    for name, g in BUILTIN_NONABELIAN.items():
+        perm = list(range(g.order))[::-1]
+        assert identify_group(relabel(g.table, perm)).name == name
+
+
+def test_are_isomorphic_negative_cases():
+    assert (invariant_factors_of_table(abelian_table((4,)))
+            != invariant_factors_of_table(abelian_table((2, 2))))
+    s3, d4, q8 = (BUILTIN_NONABELIAN[k].table for k in ("S3", "D4", "Q8"))
+    assert identify_group(s3).name != identify_group(abelian_table((6,))).name
+    assert identify_group(d4).name != identify_group(q8).name
+    assert identify_group(d4).name != identify_group(abelian_table((2, 4))).name
+
+
 def test_element_orders_separate_groups_of_order_6_and_8():
     # identify_group names a table by its order and element orders; that is
     # exact because these are all 2 groups of order 6 and all 5 of order 8
