@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .frobenius import FrobeniusCandidate, Verdict, verify_structure
-from .groups import (AbelianGroupSpec, GroupSpec, StructureSpec, _is_commutative,
-                     identify_group, invariant_factors_of_table)
+from .groups import (AbelianGroupSpec, GroupSpec, StructureSpec, _invariant_factors,
+                     _is_commutative, identify_group)
 from .rel import Rel, bits, vector
 
 ELEMENTS_CARRIER_LIMIT = 20
@@ -197,7 +197,7 @@ def decompose(c: FrobeniusCandidate) -> DecompositionResult:
         table = tuple(table)
         group: AbelianGroupSpec | GroupSpec
         if _is_commutative(table):
-            group = AbelianGroupSpec(invariant_factors_of_table(table))
+            group = AbelianGroupSpec(_invariant_factors(table))
         else:
             group = identify_group(table)
         out.append((frozenset(members), group))

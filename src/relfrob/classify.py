@@ -103,57 +103,58 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     set of all two-sided partial identities, which is the only subset that
     can satisfy the unit laws.  n is capped at ``SEARCH_CARRIER_LIMIT``;
     ``budget``, when given, bounds the nodes explored.
+
+    Each node updates the search state as it sets and clears its cells:
+    ``bad[e]`` counts the decided cells that rule e out as a unit, and
+    ``pre[v]`` lists the decided cells with product v.  Both are read off
+    the decided cells, so every rule sees the facts a rescan would.
     """
-    n = cfg.n
+    n, budget = cfg.n, cfg.budget
     if n < 0:
         raise ValueError(f"carrier size {n} is negative")
     if n > SEARCH_CARRIER_LIMIT:
         raise ValueError(
             f"carrier size {n} exceeds the exhaustive search bound {SEARCH_CARRIER_LIMIT}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget {budget} is negative")
 
     if cfg.require_commutative:
-        cells = [(i, j) for i in range(n) for j in range(i, n)]
+        cells = [(i, j, sorted({(i, j), (j, i)})) for i in range(n) for j in range(i, n)]
     else:
-        cells = [(i, j) for i in range(n) for j in range(n)]
+        cells = [(i, j, [(i, j)]) for i in range(n) for j in range(n)]
 
-    table = [[_UNASSIGNED] * n for _ in range(n)]
+    # an undefined or unassigned product propagates as itself: row and
+    # column -2 hold _UNASSIGNED, and row and column -1 hold _UNDEF
+    table = [[_UNASSIGNED] * n + [_UNASSIGNED, _UNDEF] for _ in range(n)]
+    table += [[_UNASSIGNED] * (n + 2), [_UNDEF] * (n + 2)]
+    bad = [0] * n
+    pre: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # pre[-1]: undefined, unread
     found: list[FrobeniusCandidate] = []
     explored = 0
 
-    def triple_ok(a: int, b: int, c: int) -> bool:
-        # compare (a*b)*c with a*(b*c) as far as the prefix decides them
-        # an undefined or unassigned product propagates as itself
-        ab, bc = table[a][b], table[b][c]
-        left = ab if ab < 0 else table[ab][c]
-        right = bc if bc < 0 else table[a][bc]
-        return left == _UNASSIGNED or right == _UNASSIGNED or left == right
-
     def affected_ok(p: int, q: int) -> bool:
+        # (a*b)*c against a*(b*c) on every triple that reads the cell p*q
+        row_p, row_q = table[p], table[q]
+        pq = row_p[q]
         for c in range(n):
-            if not triple_ok(p, q, c):
+            left, right = table[pq][c], row_p[row_q[c]]
+            if left != right and left != _UNASSIGNED and right != _UNASSIGNED:
                 return False
         for a in range(n):
-            if not triple_ok(a, p, q):
+            left, right = table[table[a][p]][q], table[a][pq]
+            if left != right and left != _UNASSIGNED and right != _UNASSIGNED:
                 return False
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == p and not triple_ok(a, b, q):
-                    return False
-        for b in range(n):
-            for c in range(n):
-                if table[b][c] == q and not triple_ok(p, b, c):
-                    return False
+        for a, b in pre[p]:
+            left, right = pq, table[a][table[b][q]]
+            if left != right and left != _UNASSIGNED and right != _UNASSIGNED:
+                return False
+        for b, c in pre[q]:
+            left, right = table[row_p[b]][c], pq
+            if left != right and left != _UNASSIGNED and right != _UNASSIGNED:
+                return False
         return True
 
-    def disqualified(e: int) -> bool:
-        for y in range(n):
-            if table[e][y] >= 0 and table[e][y] != y:
-                return True
-            if table[y][e] >= 0 and table[y][e] != y:
-                return True
-        return False
-
-    def units_feasible() -> bool:
+    def units_feasible(live: list[int], xs) -> bool:
         """Can a completion still have a unit on each side of every x, and an inverse?
 
         Inverses: at an accepted leaf the unit laws give e', e in bot with
@@ -164,50 +165,65 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
         undefined cell stays undefined, so bot at any leaf below lies inside
         ``live`` here.  A node where some x has no a with x*a and a*x each
         unassigned or live therefore has no accepted leaf below it.
+
+        Only the x in ``xs`` are checked.  The verdict for x reads row x,
+        column x and ``live``, and ``live`` only shrinks going down the tree.
+        When it is as large as at the parent, the node's cells lie in rows
+        and columns i and j only, so only x in {i, j} can lose the verdict
+        they passed with at the parent; otherwise every x is checked.
         """
-        live = [e for e in range(n) if not disqualified(e)]
         open_unit = {_UNASSIGNED, *live}
-        for x in range(n):
-            if not any(table[e][x] == x or table[e][x] == _UNASSIGNED for e in live):
+        for x in xs:
+            row_x, fits = table[x], (x, _UNASSIGNED)
+            for e in live:
+                if table[e][x] in fits:
+                    break
+            else:
                 return False
-            if not any(table[x][e] == x or table[x][e] == _UNASSIGNED for e in live):
+            for e in live:
+                if row_x[e] in fits:
+                    break
+            else:
                 return False
-            if not any(table[x][a] in open_unit and table[a][x] in open_unit
-                       for a in range(n)):
+            for a in range(n):
+                if row_x[a] in open_unit and table[a][x] in open_unit:
+                    break
+            else:
                 return False
         return True
 
-    def finalize():
-        # units_feasible at the last cell already made bot cover every x
-        bot = [e for e in range(n) if not disqualified(e)]
-        triples = [(i, j, table[i][j]) for i in range(n) for j in range(n)
-                   if table[i][j] >= 0]
-        cand = FrobeniusCandidate.from_triples(n, triples, bot)
-        if satisfies_axioms(cand, cfg.require_commutative):
-            found.append(cand)
-
-    def descend(k: int):
+    def descend(k: int, parent_live: list[int]):
         nonlocal explored
         if k == len(cells):
-            finalize()
+            # bot is the live units: units_feasible made them cover every x
+            triples = [(a, b, v) for v in range(n) for a, b in pre[v]]
+            cand = FrobeniusCandidate.from_triples(n, triples, parent_live)
+            if satisfies_axioms(cand, cfg.require_commutative):
+                found.append(cand)
             return
-        i, j = cells[k]
+        i, j, placed = cells[k]
         for v in list(range(n)) + [_UNDEF]:
             explored += 1
-            if cfg.budget is not None and explored > cfg.budget:
+            if budget is not None and explored > budget:
                 raise BudgetExceededError(explored, found)
-            table[i][j] = v
-            if cfg.require_commutative:
-                table[j][i] = v
+            for x, y in placed:  # x*y = v rules out unit x unless v = y, y unless v = x
+                table[x][y] = v
+                bad[x] += v >= 0 and v != y
+                bad[y] += v >= 0 and v != x
+                pre[v].append((x, y))
             # a commutative table stays symmetric, so affected_ok(j, i) checks
             # the mirror images (c, b, a) of the triples checked here
-            if affected_ok(i, j) and units_feasible():
-                descend(k + 1)
-            table[i][j] = _UNASSIGNED
-            if cfg.require_commutative:
-                table[j][i] = _UNASSIGNED
+            if affected_ok(i, j):
+                live = [e for e in range(n) if not bad[e]]
+                if units_feasible(live, (i, j) if len(live) == len(parent_live) else range(n)):
+                    descend(k + 1, live)
+            for x, y in placed:
+                table[x][y] = _UNASSIGNED
+                bad[x] -= v >= 0 and v != y
+                bad[y] -= v >= 0 and v != x
+                pre[v].pop()
 
-    descend(0)
+    descend(0, list(range(n)))
     found.sort(key=lambda c: (c.triples(), tuple(sorted(c.bot))))
     return found
 

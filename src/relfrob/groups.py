@@ -279,6 +279,10 @@ def invariant_factors_of_table(table) -> tuple[int, ...]:
     """
     if not _is_commutative(table):
         raise ValueError("table is not abelian")
+    return _invariant_factors(table)
+
+
+def _invariant_factors(table) -> tuple[int, ...]:
     orders = element_orders(table)
     prime_powers = []
     for p, e in _factorize(len(table)).items():

@@ -3,9 +3,13 @@
 Relations here are frozensets of (source, target) pairs with the carrier
 sizes passed explicitly.  Everything is written for obviousness rather
 than speed, so it can act as an independent check on the bitset code.
+``search`` is the table search with no incremental state, the reference
+for the search's bookkeeping.
 """
 
 from __future__ import annotations
+
+from relfrob import BudgetExceededError, FrobeniusCandidate, satisfies_axioms
 
 
 def compose(r: frozenset, s: frozenset) -> frozenset:
@@ -83,3 +87,77 @@ def frobenius_routes(n: int, triples):
     right = compose(tensor(idn, (n, n), delta, (n, sq)),
                     tensor(nab, (sq, n), idn, (n, n)))
     return fiber, left, right
+
+
+def search(n: int, commutative: bool = True, budget: int | None = None):
+    """The table search with every prune rule recomputed by rescanning.
+
+    Same traversal, rules and leaf check as ``brute_force_search``, without
+    its incremental state: a unit's disqualification is rescanned for every
+    e at every node, and associativity scans the whole table for the cells
+    whose product is the row or column just set.  Returns the found
+    candidates, sorted as the search sorts them, and the nodes explored;
+    raises ``BudgetExceededError`` as the search does.
+    """
+    unassigned, undef = -2, -1
+    if commutative:
+        cells = [(i, j) for i in range(n) for j in range(i, n)]
+    else:
+        cells = [(i, j) for i in range(n) for j in range(n)]
+    table = [[unassigned] * n for _ in range(n)]
+    found = []
+    explored = 0
+
+    def triple_ok(a, b, c):
+        ab, bc = table[a][b], table[b][c]
+        left = ab if ab < 0 else table[ab][c]
+        right = bc if bc < 0 else table[a][bc]
+        return left == unassigned or right == unassigned or left == right
+
+    def affected_ok(p, q):
+        return (all(triple_ok(p, q, c) for c in range(n))
+                and all(triple_ok(a, p, q) for a in range(n))
+                and all(triple_ok(a, b, q) for a in range(n) for b in range(n)
+                        if table[a][b] == p)
+                and all(triple_ok(p, b, c) for b in range(n) for c in range(n)
+                        if table[b][c] == q))
+
+    def disqualified(e):
+        return any(0 <= table[e][y] != y or 0 <= table[y][e] != y for y in range(n))
+
+    def units_feasible():
+        live = [e for e in range(n) if not disqualified(e)]
+        open_unit = {unassigned, *live}
+        return all(
+            any(table[e][x] in (x, unassigned) for e in live)
+            and any(table[x][e] in (x, unassigned) for e in live)
+            and any(table[x][a] in open_unit and table[a][x] in open_unit for a in range(n))
+            for x in range(n))
+
+    def descend(k):
+        nonlocal explored
+        if k == len(cells):
+            bot = [e for e in range(n) if not disqualified(e)]
+            triples = [(i, j, table[i][j]) for i in range(n) for j in range(n)
+                       if table[i][j] >= 0]
+            cand = FrobeniusCandidate.from_triples(n, triples, bot)
+            if satisfies_axioms(cand, commutative):
+                found.append(cand)
+            return
+        i, j = cells[k]
+        for v in list(range(n)) + [undef]:
+            explored += 1
+            if budget is not None and explored > budget:
+                raise BudgetExceededError(explored, found)
+            table[i][j] = v
+            if commutative:
+                table[j][i] = v
+            if affected_ok(i, j) and units_feasible():
+                descend(k + 1)
+            table[i][j] = unassigned
+            if commutative:
+                table[j][i] = unassigned
+
+    descend(0)
+    found.sort(key=lambda c: (c.triples(), tuple(sorted(c.bot))))
+    return found, explored

@@ -196,6 +196,35 @@ def test_search_node_count_n4(commutative, nodes):
     assert info.value.explored == nodes
 
 
+def _keys(cands) -> list:
+    return [(c.triples(), c.bot) for c in cands]
+
+
+def _budget_outcome(search, budget: int):
+    try:
+        return "done", _keys(search(budget))
+    except BudgetExceededError as exc:
+        return exc.explored, len(exc.found), _keys(exc.found)
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+@pytest.mark.parametrize("n", range(5))
+def test_search_matches_reference_search(n, commutative):
+    # the incremental state must give the rescanning search's results, and
+    # stop after the same node with the same finds at every budget
+    want, total = naive.search(n, commutative)
+    assert _keys(brute_force_search(SearchConfig(n, commutative))) == _keys(want)
+    if n <= 2:
+        budgets = range(total + 2)
+    else:
+        budgets = sorted({0, 1, total - 1, total} | {total * k // 17 for k in range(1, 17)})
+    for budget in budgets:
+        fast = _budget_outcome(
+            lambda b: brute_force_search(SearchConfig(n, commutative, b)), budget)
+        assert fast == _budget_outcome(lambda b: naive.search(n, commutative, b)[0], budget)
+        assert fast[0] == ("done" if budget >= total else budget + 1)
+
+
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 3), (3, 10)])
 def test_search_raw_counts_frozen(n, count):
     cands = brute_force_search(SearchConfig(n))

@@ -154,6 +154,20 @@ def test_brute_force_budget_exhaustion(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command,n,budget", [("brute-force", "4", "-1"),
+                                              ("cross-validate", "3", "-5")])
+def test_negative_budget_exits_2(capsys, command, n, budget):
+    code, out, err = run(capsys, command, "--n", n, "--budget", budget)
+    assert code == 2 and out == ""
+    assert err == f"error: budget {budget} is negative\n"
+
+
+def test_zero_budget_exhausts_at_the_first_node(capsys):
+    code, out, err = run(capsys, "cross-validate", "--n", "3", "--budget", "0")
+    assert code == 1 and out == ""
+    assert err == "error: search budget exhausted after 1 nodes (0 candidates found so far)\n"
+
+
 def test_brute_force_singular_grammar(capsys):
     _, out, _ = run(capsys, "brute-force", "--n", "0")
     assert "1 labeled candidate in 1 class" in out
