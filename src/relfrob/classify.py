@@ -18,7 +18,7 @@ from .frobenius import FrobeniusCandidate, satisfies_axioms
 from .groups import (AbelianGroupSpec, StructureSpec, enumerate_abelian_groups,
                      nonabelian_groups_of_order, partitions)
 
-SEARCH_CARRIER_LIMIT = 4
+SEARCH_CARRIER_LIMIT = 5
 QUOTIENT_CARRIER_LIMIT = 6
 SPECIAL_ENUM_LIMIT = 8
 ENUM_CARRIER_LIMIT = 32
@@ -94,20 +94,28 @@ class BudgetExceededError(RuntimeError):
 def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     """Every structure on the labeled carrier passing the axiom checker.
 
-    Fills cells of a partial single-valued table depth first, pruning on
-    associativity over the decided prefix, on unit coverage, and on
-    inverses: every x needs an a with x*a and a*x units (proof in
-    ``units_feasible``).  The rules cut only subtrees without an accepted
-    leaf, and every leaf still runs the full ``satisfies_axioms``.  The unit
-    subset is never guessed: for each complete table it is forced to be the
-    set of all two-sided partial identities, which is the only subset that
-    can satisfy the unit laws.  n is capped at ``SEARCH_CARRIER_LIMIT``;
+    Fills cells of a partial single-valued table depth first, pruning by
+    four rules:
+
+    - cancellation: no row and no column holds one defined value twice;
+    - associativity over the decided prefix;
+    - unit coverage: every x keeps a possible unit on each side;
+    - inverses: every x needs an a with x*a and a*x units.
+
+    ``units_feasible`` proves cancellation and inverses from the axioms.
+    The rules cut only subtrees without an accepted leaf, and every leaf
+    still runs the full ``satisfies_axioms``.  The unit subset is never
+    guessed: for each complete table it is forced to be the set of all
+    two-sided partial identities, which is the only subset that can
+    satisfy the unit laws.  n is capped at ``SEARCH_CARRIER_LIMIT``;
     ``budget``, when given, bounds the nodes explored.
 
     Each node updates the search state as it sets and clears its cells:
-    ``bad[e]`` counts the decided cells that rule e out as a unit, and
-    ``pre[v]`` lists the decided cells with product v.  Both are read off
-    the decided cells, so every rule sees the facts a rescan would.
+    ``bad[e]`` counts the decided cells that rule e out as a unit,
+    ``pre[v]`` lists the decided cells with product v, and ``rows[x]`` and
+    ``cols[y]`` are bitmasks of the defined values decided in row x and
+    column y.  All are read off the decided cells, so every rule sees the
+    facts a rescan would.
     """
     n, budget = cfg.n, cfg.budget
     if n < 0:
@@ -128,9 +136,11 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     table = [[_UNASSIGNED] * n + [_UNASSIGNED, _UNDEF] for _ in range(n)]
     table += [[_UNASSIGNED] * (n + 2), [_UNDEF] * (n + 2)]
     bad = [0] * n
+    rows, cols = [0] * n, [0] * n
     pre: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # pre[-1]: undefined, unread
     found: list[FrobeniusCandidate] = []
     explored = 0
+    values = [(v, 1 << v) for v in range(n)] + [(_UNDEF, 0)]
 
     def affected_ok(p: int, q: int) -> bool:
         # (a*b)*c against a*(b*c) on every triple that reads the cell p*q
@@ -165,6 +175,15 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
         undefined cell stays undefined, so bot at any leaf below lies inside
         ``live`` here.  A node where some x has no a with x*a and a*x each
         unassigned or live therefore has no accepted leaf below it.
+
+        Cancellation: let x*b = x*c = z be defined at an accepted leaf, and
+        e in bot with x*e = x.  An inverse a has a*x = e.  Associativity in
+        Rel equates definedness as well as values, so x*b = (x*e)*b defined
+        makes e*b defined, and the left unit law gives e*b = b.  Then
+        a*z = a*(x*b) = (a*x)*b = e*b = b, and likewise a*z = c, so b = c.
+        Columns follow by the mirror argument.  Decided cells keep their
+        values at every leaf below, so a node with a repeated defined value
+        in a row or a column has no accepted leaf below it.
 
         Only the x in ``xs`` are checked.  The verdict for x reads row x,
         column x and ``live``, and ``live`` only shrinks going down the tree.
@@ -202,12 +221,18 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
                 found.append(cand)
             return
         i, j, placed = cells[k]
-        for v in list(range(n)) + [_UNDEF]:
+        for v, bit in values:
             explored += 1
             if budget is not None and explored > budget:
                 raise BudgetExceededError(explored, found)
+            # cancellation; a commutative table is symmetric, so there row j
+            # holds column j's values and column i holds row i's
+            if rows[i] & bit or cols[j] & bit:
+                continue
             for x, y in placed:  # x*y = v rules out unit x unless v = y, y unless v = x
                 table[x][y] = v
+                rows[x] |= bit
+                cols[y] |= bit
                 bad[x] += v >= 0 and v != y
                 bad[y] += v >= 0 and v != x
                 pre[v].append((x, y))
@@ -219,6 +244,8 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
                     descend(k + 1, live)
             for x, y in placed:
                 table[x][y] = _UNASSIGNED
+                rows[x] ^= bit
+                cols[y] ^= bit
                 bad[x] -= v >= 0 and v != y
                 bad[y] -= v >= 0 and v != x
                 pre[v].pop()

@@ -93,11 +93,12 @@ def search(n: int, commutative: bool = True, budget: int | None = None):
     """The table search with every prune rule recomputed by rescanning.
 
     Same traversal, rules and leaf check as ``brute_force_search``, without
-    its incremental state: a unit's disqualification is rescanned for every
-    e at every node, and associativity scans the whole table for the cells
-    whose product is the row or column just set.  Returns the found
-    candidates, sorted as the search sorts them, and the nodes explored;
-    raises ``BudgetExceededError`` as the search does.
+    its incremental state: cancellation scans every row and every column
+    for a repeated defined value at every node, a unit's disqualification
+    is rescanned for every e at every node, and associativity scans the
+    whole table for the cells whose product is the row or column just set.
+    Returns the found candidates, sorted as the search sorts them, and the
+    nodes explored; raises ``BudgetExceededError`` as the search does.
     """
     unassigned, undef = -2, -1
     if commutative:
@@ -121,6 +122,13 @@ def search(n: int, commutative: bool = True, budget: int | None = None):
                         if table[a][b] == p)
                 and all(triple_ok(p, b, c) for b in range(n) for c in range(n)
                         if table[b][c] == q))
+
+    def cancels():
+        for line in table + list(zip(*table)):
+            defined = [v for v in line if v >= 0]
+            if len(set(defined)) < len(defined):
+                return False
+        return True
 
     def disqualified(e):
         return any(0 <= table[e][y] != y or 0 <= table[y][e] != y for y in range(n))
@@ -152,7 +160,7 @@ def search(n: int, commutative: bool = True, budget: int | None = None):
             table[i][j] = v
             if commutative:
                 table[j][i] = v
-            if affected_ok(i, j) and units_feasible():
+            if cancels() and affected_ok(i, j) and units_feasible():
                 descend(k + 1)
             table[i][j] = unassigned
             if commutative:

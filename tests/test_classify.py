@@ -147,9 +147,20 @@ def has_inverses(c) -> bool:
                for x in range(c.n))
 
 
-def test_inverse_lemma_holds_in_special_frobenius_structures():
-    # the search's inverse rule rests on this: unit laws plus interchange
-    # force an inverse for every element, commutative or not
+def cancels(c) -> bool:
+    """No row and no column holds one defined product twice."""
+    for x in range(c.n):
+        for line in ([c.product(x, y) for y in range(c.n)],
+                     [c.product(y, x) for y in range(c.n)]):
+            defined = [z for z in line if z]
+            if len(set(defined)) < len(defined):
+                return False
+    return True
+
+
+def special_frobenius_structures() -> list:
+    """Biproducts of every special spec on n <= 8, the pair groupoid, and
+    the non-commutative search results for n <= 4, each verified."""
     structures = [build_biproduct(spec)
                   for n in range(9) for spec in enumerate_special_frobenius(n)]
     arrows = [(2 * i + j, 2 * j + k, 2 * i + k)
@@ -159,7 +170,34 @@ def test_inverse_lemma_holds_in_special_frobenius_structures():
         structures += brute_force_search(SearchConfig(n, require_commutative=False))
     for c in structures:
         assert verify_structure(c).is_special_frobenius
+    return structures
+
+
+def test_inverse_lemma_holds_in_special_frobenius_structures():
+    # the search's inverse rule rests on this: unit laws plus interchange
+    # force an inverse for every element, commutative or not
+    for c in special_frobenius_structures():
         assert has_inverses(c), c
+
+
+def test_cancellation_lemma_holds_in_special_frobenius_structures():
+    # the search's cancellation rule rests on this: with inverses and
+    # associativity, x*b = x*c and b*x = c*x each force b = c
+    structures = special_frobenius_structures()
+    for n in range(5):
+        structures += brute_force_search(SearchConfig(n))
+    for c in structures:
+        assert cancels(c), c
+
+
+def test_cancellation_lemma_needs_interchange(max_monoid):
+    # the two-point semilattice passes every axiom except interchange, and
+    # its row 1 holds 1*0 = 1*1 = 1
+    report = verify_structure(max_monoid)
+    failed = [name for name, verdict in report.axioms() if verdict is not None and not verdict.ok]
+    assert failed == ["frobenius", "frobenius-pointwise"]
+    assert max_monoid.product(1, 0) == max_monoid.product(1, 1) == {1}
+    assert not cancels(max_monoid)
 
 
 def test_inverse_lemma_needs_interchange(max_monoid):
@@ -172,9 +210,8 @@ def test_inverse_lemma_needs_interchange(max_monoid):
     assert not has_inverses(max_monoid)
 
 
-@pytest.mark.parametrize("commutative,accepted", [(True, 53), (False, 65)])
-def test_search_verifies_only_leaves_it_accepts_n4(monkeypatch, commutative, accepted):
-    # the pruning rules leave no leaf the full axiom check would reject
+def _search_and_leaves(monkeypatch, n: int, commutative: bool):
+    """The search's results and the leaves it ran ``satisfies_axioms`` on."""
     verified = []
     check = relfrob.classify.satisfies_axioms
 
@@ -183,11 +220,30 @@ def test_search_verifies_only_leaves_it_accepts_n4(monkeypatch, commutative, acc
         return check(cand, commutative)
 
     monkeypatch.setattr(relfrob.classify, "satisfies_axioms", spy)
-    cands = brute_force_search(SearchConfig(4, require_commutative=commutative))
+    return brute_force_search(SearchConfig(n, require_commutative=commutative)), verified
+
+
+@pytest.mark.parametrize("commutative,accepted", [(True, 53), (False, 65)])
+def test_search_verifies_only_leaves_it_accepts_n4(monkeypatch, commutative, accepted):
+    # the pruning rules leave no leaf the full axiom check would reject
+    cands, verified = _search_and_leaves(monkeypatch, 4, commutative)
     assert len(cands) == len(verified) == accepted
 
 
-@pytest.mark.parametrize("commutative,nodes", [(True, 6440), (False, 23210)])
+@pytest.mark.parametrize("commutative,accepted", [(True, 281), (False, 341)])
+def test_search_verifies_only_leaves_it_accepts_n5(monkeypatch, commutative, accepted):
+    cands, verified = _search_and_leaves(monkeypatch, 5, commutative)
+    assert len(cands) == len(verified) == accepted
+
+
+def test_noncommutative_search_at_the_search_bound():
+    cands = brute_force_search(SearchConfig(5, require_commutative=False))
+    assert len(cands) == 341
+    classes = quotient_by_iso(cands)
+    assert len(classes) == 9 and sum(size for _, size in classes) == 341
+
+
+@pytest.mark.parametrize("commutative,nodes", [(True, 2965), (False, 6940)])
 def test_search_node_count_n4(commutative, nodes):
     # the least budget that completes is the number of nodes explored
     brute_force_search(SearchConfig(4, require_commutative=commutative, budget=nodes))
@@ -253,7 +309,7 @@ def test_search_without_commutativity_requirement():
 
 def test_search_carrier_cap():
     with pytest.raises(ValueError):
-        brute_force_search(SearchConfig(5))
+        brute_force_search(SearchConfig(6))
 
 
 def test_search_budget():
@@ -301,7 +357,7 @@ def test_quotient_merges_relabelings():
     assert len(classes) == 1 and classes[0][1] == 2
 
 
-@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("n", range(5))
 def test_cross_validate_small_carriers(n):
     result = cross_validate(n)
     assert result.ok
@@ -312,16 +368,16 @@ def test_cross_validate_small_carriers(n):
 
 
 def test_cross_validate_at_the_search_bound_needs_no_budget():
-    result = cross_validate(4)
-    assert result.ok and result.class_count == 6
-    assert sum(size for _, _, size in result.matches) == 53
+    result = cross_validate(5)
+    assert result.ok and result.class_count == 8
+    assert sum(size for _, _, size in result.matches) == 281
 
 
 def test_cross_validate_above_the_search_bound_raises():
-    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 4"):
-        cross_validate(5)
-    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 4"):
-        cross_validate(5, budget=10)
+    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 5"):
+        cross_validate(6)
+    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 5"):
+        cross_validate(6, budget=10)
 
 
 @settings(deadline=None, max_examples=25)
