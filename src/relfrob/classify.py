@@ -2,8 +2,9 @@
 
 Two independent routes to the same inventory: ``enumerate_classical_structures``
 walks integer partitions and abelian-group choices per part, while
-``brute_force_search`` fills in partial multiplication tables cell by cell
-and keeps whatever passes the axiom checker.  ``cross_validate`` runs both
+``brute_force_search`` picks the units and each element's left and right
+unit, fills in the composable cells of the multiplication table, and keeps
+whatever passes the axiom checker.  ``cross_validate`` runs both
 and insists they agree up to relabeling, which is the computational content
 of the classification: every commutative structure is a disjoint union of
 abelian groups.
@@ -12,7 +13,7 @@ abelian groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .frobenius import FrobeniusCandidate, satisfies_axioms
 from .groups import (AbelianGroupSpec, StructureSpec, enumerate_abelian_groups,
@@ -23,8 +24,7 @@ QUOTIENT_CARRIER_LIMIT = 6
 SPECIAL_ENUM_LIMIT = 8
 ENUM_CARRIER_LIMIT = 32
 
-_UNASSIGNED = -2
-_UNDEF = -1
+_EMPTY = -1  # a cell with no product: undefined, or not decided yet
 
 
 def _structures_from_choices(n: int, choices_per_order) -> list[StructureSpec]:
@@ -94,30 +94,54 @@ class BudgetExceededError(RuntimeError):
 def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     """Every structure on the labeled carrier passing the axiom checker.
 
-    Fills cells of a partial single-valued table depth first, pruning by
-    four rules:
+    The search first fixes a skeleton: the unit set ``bot`` and maps l, r
+    from the carrier to ``bot`` with l(e) = r(e) = e on ``bot``, and
+    l = r when commutative.  It keeps only skeletons in which a non-empty
+    hom-set H(e, e') = {x : l(x) = e, r(x) = e'} has a non-empty H(e', e).
+    The skeleton forces every cell but the composable cells between
+    non-units: x*y is undefined unless r(x) = l(y), and l(x)*x = x*r(x) =
+    x.  Each remaining cell x*y takes a z in H(l(x), r(y)) that repeats no
+    value of its row or its column and keeps every decided triple
+    associative.  Every leaf still runs the full ``satisfies_axioms``.
+    n is capped at ``SEARCH_CARRIER_LIMIT``; ``budget``, when given,
+    bounds the nodes explored: one per skeleton and one per cell value
+    tried.
 
-    - cancellation: no row and no column holds one defined value twice;
-    - associativity over the decided prefix;
-    - unit coverage: every x keeps a possible unit on each side;
-    - inverses: every x needs an a with x*a and a*x units.
+    The lemmas below hold in every single-valued table that passes the
+    axioms with unit set ``bot``.  So each such table defines a skeleton
+    the search keeps, and filling that skeleton reaches the table.
 
-    ``units_feasible`` proves cancellation and inverses from the axioms.
-    The rules cut only subtrees without an accepted leaf, and every leaf
-    still runs the full ``satisfies_axioms``.  The unit subset is never
-    guessed: for each complete table it is forced to be the set of all
-    two-sided partial identities, which is the only subset that can
-    satisfy the unit laws.  n is capped at ``SEARCH_CARRIER_LIMIT``;
-    ``budget``, when given, bounds the nodes explored.
+    Inverses: the unit laws give e', e in bot with e'*x = x and x*e = x,
+    so the fiber at (x, e) contains (e', x).  Interchange makes that fiber
+    equal split-right(x, e) = {(x*a, b) : a*b = e}, so some a has
+    x*a = e' and a*x = e, both in bot.
 
-    Each node updates the search state as it sets and clears its cells:
-    ``bad[e]`` counts the decided cells that rule e out as a unit,
-    ``pre[v]`` lists the decided cells with product v, and ``rows[x]`` and
-    ``cols[y]`` are bitmasks of the defined values decided in row x and
-    column y.  All are read off the decided cells, so every rule sees the
-    facts a rescan would.
+    Cancellation: let x*b = x*c = z be defined, and e in bot with x*e = x.
+    An inverse a has a*x = e.  Associativity in Rel equates definedness as
+    well as values, so x*b = (x*e)*b defined makes e*b defined, and the
+    left unit law gives e*b = b.  Then a*z = a*(x*b) = (a*x)*b = e*b = b,
+    and likewise a*z = c, so b = c.  Columns follow by the mirror argument.
+
+    Units: each x has exactly one e in bot with e*x = x, named l(x), and
+    exactly one with x*e = x, named r(x).  The unit laws give at least one
+    of each, and e*x = e'*x = x makes e = e' by cancellation.  For e in
+    bot, the right unit law at e puts l(e)*e = e in {l(e)}, so l(e) = e,
+    and likewise r(e) = e.  When commutative, l(x)*x = x*l(x) makes
+    l(x) = r(x).
+
+    Composability: x*y is defined iff r(x) = l(y).  If x*y is defined, so
+    is x*(l(y)*y) = (x*l(y))*y, so x*l(y) is defined.  The right unit law
+    puts it in {x}, so l(y) = r(x).  Conversely, if r(x) = l(y), then
+    split-left(x, y) = {(u, t*y) : u*t = x} contains (x, r(x)*y) = (x, y).
+    Interchange makes it the fiber at (x, y), which is then not empty, so
+    x*y is defined.
+
+    Hom-sets: if x*y = z, then l(z) = l(x) and r(z) = r(y), because
+    l(x)*z = (l(x)*x)*y = z and z*r(y) = x*(y*r(y)) = z.  An inverse of x
+    lies in H(r(x), l(x)), so a non-empty H(e, e') makes H(e', e)
+    non-empty.
     """
-    n, budget = cfg.n, cfg.budget
+    n, budget, commutative = cfg.n, cfg.budget, cfg.require_commutative
     if n < 0:
         raise ValueError(f"carrier size {n} is negative")
     if n > SEARCH_CARRIER_LIMIT:
@@ -126,131 +150,79 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     if budget is not None and budget < 0:
         raise ValueError(f"budget {budget} is negative")
 
-    if cfg.require_commutative:
-        cells = [(i, j, sorted({(i, j), (j, i)})) for i in range(n) for j in range(i, n)]
-    else:
-        cells = [(i, j, [(i, j)]) for i in range(n) for j in range(n)]
-
-    # an undefined or unassigned product propagates as itself: row and
-    # column -2 hold _UNASSIGNED, and row and column -1 hold _UNDEF
-    table = [[_UNASSIGNED] * n + [_UNASSIGNED, _UNDEF] for _ in range(n)]
-    table += [[_UNASSIGNED] * (n + 2), [_UNDEF] * (n + 2)]
-    bad = [0] * n
-    rows, cols = [0] * n, [0] * n
-    pre: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # pre[-1]: undefined, unread
+    table: list[list[int]] = []
     found: list[FrobeniusCandidate] = []
     explored = 0
-    values = [(v, 1 << v) for v in range(n)] + [(_UNDEF, 0)]
 
-    def affected_ok(p: int, q: int) -> bool:
-        # (a*b)*c against a*(b*c) on every triple that reads the cell p*q
-        row_p, row_q = table[p], table[q]
-        pq = row_p[q]
-        for c in range(n):
-            left, right = table[pq][c], row_p[row_q[c]]
-            if left != right and left != _UNASSIGNED and right != _UNASSIGNED:
-                return False
-        for a in range(n):
-            left, right = table[table[a][p]][q], table[a][pq]
-            if left != right and left != _UNASSIGNED and right != _UNASSIGNED:
-                return False
-        for a, b in pre[p]:
-            left, right = pq, table[a][table[b][q]]
-            if left != right and left != _UNASSIGNED and right != _UNASSIGNED:
-                return False
-        for b, c in pre[q]:
-            left, right = table[row_p[b]][c], pq
-            if left != right and left != _UNASSIGNED and right != _UNASSIGNED:
-                return False
-        return True
-
-    def units_feasible(live: list[int], xs) -> bool:
-        """Can a completion still have a unit on each side of every x, and an inverse?
-
-        Inverses: at an accepted leaf the unit laws give e', e in bot with
-        e'*x = x and x*e = x, so the fiber at (x, e) contains (e', x).
-        Interchange makes that fiber equal split-right(x, e) =
-        {(x*a, b) : a*b = e}, so some a has x*a = e' and a*x = e, both in
-        bot.  Disqualification only grows as cells are decided and an
-        undefined cell stays undefined, so bot at any leaf below lies inside
-        ``live`` here.  A node where some x has no a with x*a and a*x each
-        unassigned or live therefore has no accepted leaf below it.
-
-        Cancellation: let x*b = x*c = z be defined at an accepted leaf, and
-        e in bot with x*e = x.  An inverse a has a*x = e.  Associativity in
-        Rel equates definedness as well as values, so x*b = (x*e)*b defined
-        makes e*b defined, and the left unit law gives e*b = b.  Then
-        a*z = a*(x*b) = (a*x)*b = e*b = b, and likewise a*z = c, so b = c.
-        Columns follow by the mirror argument.  Decided cells keep their
-        values at every leaf below, so a node with a repeated defined value
-        in a row or a column has no accepted leaf below it.
-
-        Only the x in ``xs`` are checked.  The verdict for x reads row x,
-        column x and ``live``, and ``live`` only shrinks going down the tree.
-        When it is as large as at the parent, the node's cells lie in rows
-        and columns i and j only, so only x in {i, j} can lose the verdict
-        they passed with at the parent; otherwise every x is checked.
-        """
-        open_unit = {_UNASSIGNED, *live}
-        for x in xs:
-            row_x, fits = table[x], (x, _UNASSIGNED)
-            for e in live:
-                if table[e][x] in fits:
-                    break
-            else:
-                return False
-            for e in live:
-                if row_x[e] in fits:
-                    break
-            else:
-                return False
-            for a in range(n):
-                if row_x[a] in open_unit and table[a][x] in open_unit:
-                    break
-            else:
-                return False
-        return True
-
-    def descend(k: int, parent_live: list[int]):
+    def tried():
         nonlocal explored
+        explored += 1
+        if budget is not None and explored > budget:
+            raise BudgetExceededError(explored, found)
+
+    def associative(p: int, q: int) -> bool:
+        # (a*b)*c against a*(b*c) on every triple that reads the cell p*q.
+        # Once a*b and b*c are defined both sides are, by composability, so
+        # an empty cell on either side is one not decided yet.
+        row_p, row_q, z = table[p], table[q], table[p][q]
+        pairs = [(table[z][c], row_p[qc]) for c, qc in enumerate(row_q) if qc >= 0]
+        pairs += [(table[row_a[p]][q], row_a[z]) for row_a in table if row_a[p] >= 0]
+        for row_a in table:  # a*b = p
+            if p in row_a and (bq := table[row_a.index(p)][q]) >= 0:
+                pairs.append((z, row_a[bq]))
+        for b, row_b in enumerate(table):  # b*c = q
+            if q in row_b and row_p[b] >= 0:
+                pairs.append((table[row_p[b]][row_b.index(q)], z))
+        return all(u == v or u < 0 or v < 0 for u, v in pairs)
+
+    def fill(cells: list, k: int, bot: tuple[int, ...]):
         if k == len(cells):
-            # bot is the live units: units_feasible made them cover every x
-            triples = [(a, b, v) for v in range(n) for a, b in pre[v]]
-            cand = FrobeniusCandidate.from_triples(n, triples, parent_live)
-            if satisfies_axioms(cand, cfg.require_commutative):
+            triples = [(x, y, z) for x, row in enumerate(table) for y, z in enumerate(row)
+                       if z >= 0]
+            cand = FrobeniusCandidate.from_triples(n, triples, bot)
+            if satisfies_axioms(cand, commutative):
                 found.append(cand)
             return
-        i, j, placed = cells[k]
-        for v, bit in values:
-            explored += 1
-            if budget is not None and explored > budget:
-                raise BudgetExceededError(explored, found)
-            # cancellation; a commutative table is symmetric, so there row j
-            # holds column j's values and column i holds row i's
-            if rows[i] & bit or cols[j] & bit:
+        p, q, hom = cells[k]
+        for z in hom:
+            tried()
+            # cancellation; a commutative table is symmetric, so there row p
+            # and column q also stand for column p and row q
+            if z in table[p] or any(row[q] == z for row in table):
                 continue
-            for x, y in placed:  # x*y = v rules out unit x unless v = y, y unless v = x
-                table[x][y] = v
-                rows[x] |= bit
-                cols[y] |= bit
-                bad[x] += v >= 0 and v != y
-                bad[y] += v >= 0 and v != x
-                pre[v].append((x, y))
-            # a commutative table stays symmetric, so affected_ok(j, i) checks
-            # the mirror images (c, b, a) of the triples checked here
-            if affected_ok(i, j):
-                live = [e for e in range(n) if not bad[e]]
-                if units_feasible(live, (i, j) if len(live) == len(parent_live) else range(n)):
-                    descend(k + 1, live)
-            for x, y in placed:
-                table[x][y] = _UNASSIGNED
-                rows[x] ^= bit
-                cols[y] ^= bit
-                bad[x] -= v >= 0 and v != y
-                bad[y] -= v >= 0 and v != x
-                pre[v].pop()
+            table[p][q] = z
+            if commutative:
+                table[q][p] = z
+            # a commutative table stays symmetric: a triple (c, b, a) that
+            # reads q*p mirrors a triple (a, b, c) that reads p*q, and the
+            # two checks agree
+            if associative(p, q):
+                fill(cells, k + 1, bot)
+            table[p][q] = _EMPTY
+            if commutative:
+                table[q][p] = _EMPTY
 
-    descend(0, list(range(n)))
+    for size in range(n + 1):
+        for bot in combinations(range(n), size):
+            rest = [x for x in range(n) if x not in bot]
+            for lefts in product(bot, repeat=len(rest)):
+                for rights in [lefts] if commutative else product(bot, repeat=len(rest)):
+                    tried()
+                    l, r = list(range(n)), list(range(n))
+                    for x, e, e2 in zip(rest, lefts, rights):
+                        l[x], r[x] = e, e2
+                    hom: dict[tuple[int, int], list[int]] = {}
+                    for x in range(n):
+                        hom.setdefault((l[x], r[x]), []).append(x)
+                    if any((e2, e) not in hom for e, e2 in hom):
+                        continue
+                    # l(y)*y = y and x*r(x) = x; every other cell starts empty
+                    table[:] = [[y if x == l[y] else x if y == r[x] else _EMPTY
+                                 for y in range(n)] for x in range(n)]
+                    # from n = 7 on H(l(x), r(y)) can be empty: such a cell takes no value
+                    cells = [(x, y, hom.get((l[x], r[y]), ())) for x in rest for y in rest
+                             if r[x] == l[y] and (x <= y or not commutative)]
+                    fill(cells, 0, bot)
     found.sort(key=lambda c: (c.triples(), tuple(sorted(c.bot))))
     return found
 

@@ -3,8 +3,8 @@
 Relations here are frozensets of (source, target) pairs with the carrier
 sizes passed explicitly.  Everything is written for obviousness rather
 than speed, so it can act as an independent check on the bitset code.
-``search`` is the table search with no incremental state, the reference
-for the search's bookkeeping.
+``search`` is a cell-by-cell table search, a different algorithm from the
+skeleton-first ``brute_force_search`` and the reference for its results.
 """
 
 from __future__ import annotations
@@ -90,15 +90,21 @@ def frobenius_routes(n: int, triples):
 
 
 def search(n: int, commutative: bool = True, budget: int | None = None):
-    """The table search with every prune rule recomputed by rescanning.
+    """A cell-by-cell table search, with every prune rule recomputed by rescanning.
 
-    Same traversal, rules and leaf check as ``brute_force_search``, without
-    its incremental state: cancellation scans every row and every column
-    for a repeated defined value at every node, a unit's disqualification
-    is rescanned for every e at every node, and associativity scans the
-    whole table for the cells whose product is the row or column just set.
+    Unlike ``brute_force_search``, it fixes no units in advance: each cell
+    takes every value and "undefined" in turn, and the unit set of a leaf
+    is the set of its two-sided partial identities.  It prunes by four
+    rules, each rescanned at every node: cancellation (no row and no
+    column holds one defined value twice), associativity over the decided
+    cells, unit coverage (every x keeps a possible unit on each side) and
+    inverses (every x keeps an a with x*a and a*x possible units).
+    Cancellation and inverses rest on the lemmas proved for
+    ``brute_force_search``.  A cell never changes below the node that
+    decides it, so a unit ruled out at a node stays ruled out below it,
+    and a rule that fails at a node fails at every leaf below it.
     Returns the found candidates, sorted as the search sorts them, and the
-    nodes explored; raises ``BudgetExceededError`` as the search does.
+    nodes explored; raises ``BudgetExceededError`` on an exhausted budget.
     """
     unassigned, undef = -2, -1
     if commutative:

@@ -158,44 +158,45 @@ def cancels(c) -> bool:
     return True
 
 
-def special_frobenius_structures() -> list:
-    """Biproducts of every special spec on n <= 8, the pair groupoid, and
-    the non-commutative search results for n <= 4, each verified."""
-    structures = [build_biproduct(spec)
-                  for n in range(9) for spec in enumerate_special_frobenius(n)]
+def pair_groupoid():
     arrows = [(2 * i + j, 2 * j + k, 2 * i + k)
               for i in range(2) for j in range(2) for k in range(2)]
-    structures.append(candidate(4, arrows, [0, 3]))  # the pair groupoid
-    for n in range(5):
+    return candidate(4, arrows, [0, 3])
+
+
+@pytest.fixture(scope="module")
+def special_frobenius_structures() -> list:
+    """Biproducts of every special spec on n <= 8, the pair groupoid, and
+    the search results for n <= 5 in both modes, each verified."""
+    structures = [build_biproduct(spec)
+                  for n in range(9) for spec in enumerate_special_frobenius(n)]
+    structures.append(pair_groupoid())
+    for n in range(6):
+        structures += brute_force_search(SearchConfig(n))
         structures += brute_force_search(SearchConfig(n, require_commutative=False))
     for c in structures:
         assert verify_structure(c).is_special_frobenius
     return structures
 
 
-def test_inverse_lemma_holds_in_special_frobenius_structures():
-    # the search's inverse rule rests on this: unit laws plus interchange
+def test_inverse_lemma_holds_in_special_frobenius_structures(special_frobenius_structures):
+    # the search's hom-set rule rests on this: unit laws plus interchange
     # force an inverse for every element, commutative or not
-    for c in special_frobenius_structures():
+    for c in special_frobenius_structures:
         assert has_inverses(c), c
 
 
-def test_cancellation_lemma_holds_in_special_frobenius_structures():
+def test_cancellation_lemma_holds_in_special_frobenius_structures(special_frobenius_structures):
     # the search's cancellation rule rests on this: with inverses and
     # associativity, x*b = x*c and b*x = c*x each force b = c
-    structures = special_frobenius_structures()
-    for n in range(5):
-        structures += brute_force_search(SearchConfig(n))
-    for c in structures:
+    for c in special_frobenius_structures:
         assert cancels(c), c
 
 
 def test_cancellation_lemma_needs_interchange(max_monoid):
     # the two-point semilattice passes every axiom except interchange, and
     # its row 1 holds 1*0 = 1*1 = 1
-    report = verify_structure(max_monoid)
-    failed = [name for name, verdict in report.axioms() if verdict is not None and not verdict.ok]
-    assert failed == ["frobenius", "frobenius-pointwise"]
+    assert failed_axioms(max_monoid) == ["frobenius", "frobenius-pointwise"]
     assert max_monoid.product(1, 0) == max_monoid.product(1, 1) == {1}
     assert not cancels(max_monoid)
 
@@ -203,11 +204,65 @@ def test_cancellation_lemma_needs_interchange(max_monoid):
 def test_inverse_lemma_needs_interchange(max_monoid):
     # the two-point semilattice (0 the unit, 1*1 = 1) passes every axiom
     # except interchange, and 1 has no inverse
-    report = verify_structure(max_monoid)
-    failed = [name for name, verdict in report.axioms() if verdict is not None and not verdict.ok]
-    assert failed == ["frobenius", "frobenius-pointwise"]
+    assert failed_axioms(max_monoid) == ["frobenius", "frobenius-pointwise"]
     assert not any(_lands_in_bot(max_monoid, 1, a) for a in range(2))
     assert not has_inverses(max_monoid)
+
+
+def failed_axioms(c) -> list:
+    report = verify_structure(c)
+    return [name for name, verdict in report.axioms() if verdict is not None and not verdict.ok]
+
+
+def unit_candidates(c) -> tuple[list, list]:
+    """For each x, the e in bot with e*x = x, and the e in bot with x*e = x."""
+    left = [[e for e in sorted(c.bot) if c.product(e, x) == {x}] for x in range(c.n)]
+    right = [[e for e in sorted(c.bot) if c.product(x, e) == {x}] for x in range(c.n)]
+    return left, right
+
+
+def unit_maps(c) -> tuple[list, list]:
+    """l and r, read off the table; each x must have exactly one of each."""
+    left, right = unit_candidates(c)
+    return [e for [e] in left], [e for [e] in right]
+
+
+def test_unit_lemma_holds_in_special_frobenius_structures(special_frobenius_structures):
+    # the search's skeleton rests on this: every x has exactly one left
+    # unit and one right unit, units are their own, and l = r when commutative
+    for c in special_frobenius_structures:
+        left, right = unit_candidates(c)
+        assert all(len(es) == 1 for es in left + right), c
+        l, r = unit_maps(c)
+        assert all(l[e] == r[e] == e for e in c.bot), c
+        if verify_structure(c).is_classical:
+            assert l == r, c
+
+
+def test_composability_lemma_holds_in_special_frobenius_structures(special_frobenius_structures):
+    # the search forces x*y undefined exactly when r(x) != l(y)
+    for c in special_frobenius_structures:
+        l, r = unit_maps(c)
+        for x in range(c.n):
+            for y in range(c.n):
+                assert bool(c.product(x, y)) == (r[x] == l[y]), (c, x, y)
+
+
+def test_hom_set_lemma_holds_in_special_frobenius_structures(special_frobenius_structures):
+    # the search takes x*y from H(l(x), r(y))
+    for c in special_frobenius_structures:
+        l, r = unit_maps(c)
+        for x, y, z in c.triples():
+            assert (l[z], r[z]) == (l[x], r[y]), (c, x, y, z)
+
+
+def test_composability_lemma_needs_interchange():
+    # 0 the unit, 1*1 undefined: every axiom but interchange holds, and
+    # r(1) = l(1) = 0 while 1*1 is undefined
+    c = candidate(2, [(0, 0, 0), (0, 1, 1), (1, 0, 1)], [0])
+    assert failed_axioms(c) == ["frobenius", "frobenius-pointwise"]
+    assert unit_maps(c) == ([0, 0], [0, 0])
+    assert c.product(1, 1) == frozenset()
 
 
 def _search_and_leaves(monkeypatch, n: int, commutative: bool):
@@ -243,7 +298,13 @@ def test_noncommutative_search_at_the_search_bound():
     assert len(classes) == 9 and sum(size for _, size in classes) == 341
 
 
-@pytest.mark.parametrize("commutative,nodes", [(True, 2965), (False, 6940)])
+# nodes the full search explores: one per skeleton and one per cell value tried
+SEARCH_NODES = {(0, True): 1, (0, False): 1, (1, True): 1, (1, False): 1,
+                (2, True): 7, (2, False): 7, (3, True): 58, (3, False): 73,
+                (4, True): 561, (4, False): 893, (5, True): 5096, (5, False): 9526}
+
+
+@pytest.mark.parametrize("commutative,nodes", [(c, SEARCH_NODES[4, c]) for c in (True, False)])
 def test_search_node_count_n4(commutative, nodes):
     # the least budget that completes is the number of nodes explored
     brute_force_search(SearchConfig(4, require_commutative=commutative, budget=nodes))
@@ -256,29 +317,26 @@ def _keys(cands) -> list:
     return [(c.triples(), c.bot) for c in cands]
 
 
-def _budget_outcome(search, budget: int):
-    try:
-        return "done", _keys(search(budget))
-    except BudgetExceededError as exc:
-        return exc.explored, len(exc.found), _keys(exc.found)
-
-
 @pytest.mark.parametrize("commutative", [True, False])
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
 def test_search_matches_reference_search(n, commutative):
-    # the incremental state must give the rescanning search's results, and
-    # stop after the same node with the same finds at every budget
-    want, total = naive.search(n, commutative)
-    assert _keys(brute_force_search(SearchConfig(n, commutative))) == _keys(want)
-    if n <= 2:
-        budgets = range(total + 2)
+    # the skeleton search must find what the cell-by-cell reference search
+    # finds; at every budget it stops after budget + 1 nodes with a subset
+    # of the full result, and the node total is the least budget that completes
+    want, _ = naive.search(n, commutative)
+    full = _keys(brute_force_search(SearchConfig(n, commutative)))
+    assert full == _keys(want)
+    total = SEARCH_NODES[n, commutative]
+    if n <= 3:
+        budgets = range(total)
     else:
-        budgets = sorted({0, 1, total - 1, total} | {total * k // 17 for k in range(1, 17)})
+        budgets = sorted({0, 1, total - 1} | {total * k // 17 for k in range(1, 17)})
     for budget in budgets:
-        fast = _budget_outcome(
-            lambda b: brute_force_search(SearchConfig(n, commutative, b)), budget)
-        assert fast == _budget_outcome(lambda b: naive.search(n, commutative, b)[0], budget)
-        assert fast[0] == ("done" if budget >= total else budget + 1)
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force_search(SearchConfig(n, commutative, budget))
+        assert info.value.explored == budget + 1
+        assert set(_keys(info.value.found)) <= set(full)
+    assert _keys(brute_force_search(SearchConfig(n, commutative, total))) == full
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 3), (3, 10)])
@@ -296,8 +354,9 @@ def test_search_output_is_sorted_and_duplicate_free():
 
 
 def test_search_without_commutativity_requirement():
-    # the commutative search prunes on one associativity pass per cell pair;
-    # it must keep exactly the commutative results of the unrestricted search
+    # the commutative search fixes l = r and fills each cell pair once, as
+    # a mirrored pair; it must keep exactly the commutative results of the
+    # unrestricted search
     for n in (2, 3, 4):
         sym = brute_force_search(SearchConfig(n))
         free = brute_force_search(SearchConfig(n, require_commutative=False))
