@@ -13,13 +13,14 @@ abelian groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import (chain, combinations, combinations_with_replacement, permutations,
+                       product)
 
 from .frobenius import FrobeniusCandidate, satisfies_axioms
 from .groups import (AbelianGroupSpec, StructureSpec, enumerate_abelian_groups,
                      nonabelian_groups_of_order, partitions)
 
-SEARCH_CARRIER_LIMIT = 5
+SEARCH_CARRIER_LIMIT = 6
 QUOTIENT_CARRIER_LIMIT = 6
 SPECIAL_ENUM_LIMIT = 8
 ENUM_CARRIER_LIMIT = 32
@@ -29,13 +30,14 @@ _EMPTY = -1  # a cell with no product: undefined, or not decided yet
 
 def _structures_from_choices(n: int, choices_per_order) -> list[StructureSpec]:
     specs = set()
+    choices = {m: choices_per_order(m) for m in range(1, n + 1)}
     for part in partitions(n):
         sizes: dict[int, int] = {}
         for m in part:
             sizes[m] = sizes.get(m, 0) + 1
         per_size = []
         for m, count in sorted(sizes.items()):
-            per_size.append(list(combinations_with_replacement(choices_per_order(m), count)))
+            per_size.append(list(combinations_with_replacement(choices[m], count)))
         for combo in product(*per_size):
             blocks = tuple(b for group in combo for b in group)
             specs.add(StructureSpec(blocks))
@@ -232,11 +234,53 @@ def _canonical_key(triples, bot, sigma) -> tuple:
             tuple(sorted(sigma[e] for e in bot)))
 
 
+def _colours(n: int, triples, bot, ids: dict) -> list[int]:
+    # colour refinement: a point's next colour is the id of its colour and
+    # the multiset of (role, colours of the other two points) over the
+    # triples it occurs in; ids is shared, so equal signatures get equal ids
+    colour = [ids.setdefault(x in bot, len(ids)) for x in range(n)]
+    while True:
+        seen: list[list] = [[] for _ in range(n)]
+        for x, y, z in triples:
+            seen[x].append((0, colour[y], colour[z]))
+            seen[y].append((1, colour[x], colour[z]))
+            seen[z].append((2, colour[x], colour[y]))
+        refined = [ids.setdefault((colour[x], tuple(sorted(seen[x]))), len(ids))
+                   for x in range(n)]
+        if len(set(refined)) == len(set(colour)):
+            return refined
+        colour = refined
+
+
+def _colour_key(n: int, triples, bot, ids: dict) -> tuple:
+    # the least key over the relabelings that list the points colour by
+    # colour, least id first
+    colour = _colours(n, triples, bot, ids)
+    cells = [[x for x, c in enumerate(colour) if c == k] for k in sorted(set(colour))]
+    return min(_canonical_key(triples, bot, dict(zip(chain.from_iterable(listing), range(n))))
+               for listing in product(*map(permutations, cells)))
+
+
 def quotient_by_iso(cands: list[FrobeniusCandidate]) -> list[tuple[FrobeniusCandidate, int]]:
     """Group candidates by carrier relabeling; return (representative, size).
 
     The representative is the relabeling with the least (triples, bot) key,
-    so it is a fixed point of canonicalization.
+    so it is a fixed point of canonicalization.  Classes are sorted by it.
+
+    Tables are sorted into classes by a cheaper canonical key: the least
+    key over the relabelings that list the points colour by colour.  Each
+    point starts coloured by membership of ``bot`` and is recoloured by
+    the multiset of (role, colours of the other two points) over the
+    triples it occurs in, until the number of colours stops growing.  A
+    colour is an id drawn from one signature table shared by every table
+    in the call, so it depends only on the signature.  A relabeling sigma
+    therefore moves the colours with it: sigma(x) in the relabeled table
+    has the colour x has here, and the colour-ordered relabelings of the
+    one table are those of the other composed with sigma.  Both tables
+    then have the same least key, and equal keys are one relabeled table,
+    so the keys sort tables into classes exactly, multi-valued ones too.
+    Only the representative is the least key over all n! relabelings,
+    computed once per class from one member.
     """
     if not cands:
         return []
@@ -246,15 +290,15 @@ def quotient_by_iso(cands: list[FrobeniusCandidate]) -> list[tuple[FrobeniusCand
     if n > QUOTIENT_CARRIER_LIMIT:
         raise ValueError(
             f"carrier size {n} exceeds the relabeling bound {QUOTIENT_CARRIER_LIMIT}")
+    ids: dict = {}
     classes: dict[tuple, int] = {}
     for cand in cands:
-        triples = cand.triples()
-        key = min(_canonical_key(triples, cand.bot, sigma) for sigma in permutations(range(n)))
+        key = _colour_key(n, cand.triples(), cand.bot, ids)
         classes[key] = classes.get(key, 0) + 1
-    out = []
-    for (triples, bot), size in sorted(classes.items()):
-        out.append((FrobeniusCandidate.from_triples(n, triples, bot), size))
-    return out
+    reps = sorted((min(_canonical_key(triples, bot, sigma) for sigma in permutations(range(n))),
+                   size) for (triples, bot), size in classes.items())
+    return [(FrobeniusCandidate.from_triples(n, triples, bot), size)
+            for (triples, bot), size in reps]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,13 @@ sizes passed explicitly.  Everything is written for obviousness rather
 than speed, so it can act as an independent check on the bitset code.
 ``search`` is a cell-by-cell table search, a different algorithm from the
 skeleton-first ``brute_force_search`` and the reference for its results.
+``quotient`` keys every table by all n! relabelings, the reference for the
+colour-refined ``quotient_by_iso``.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 from relfrob import BudgetExceededError, FrobeniusCandidate, satisfies_axioms
 
@@ -175,3 +179,19 @@ def search(n: int, commutative: bool = True, budget: int | None = None):
     descend(0)
     found.sort(key=lambda c: (c.triples(), tuple(sorted(c.bot))))
     return found, explored
+
+
+def quotient(cands) -> list:
+    """The relabeling classes as ((triples, sorted bot), size), sorted.
+
+    Each table's key is its least (triples, bot) over all n! relabelings,
+    so the key is the class representative ``quotient_by_iso`` returns.
+    """
+    classes: dict[tuple, int] = {}
+    for cand in cands:
+        triples = cand.triples()
+        key = min((tuple(sorted((s[x], s[y], s[z]) for x, y, z in triples)),
+                   tuple(sorted(s[e] for e in cand.bot)))
+                  for s in permutations(range(cand.n)))
+        classes[key] = classes.get(key, 0) + 1
+    return sorted(classes.items())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -367,8 +368,8 @@ def test_search_without_commutativity_requirement():
 
 
 def test_search_carrier_cap():
-    with pytest.raises(ValueError):
-        brute_force_search(SearchConfig(6))
+    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 6"):
+        brute_force_search(SearchConfig(7))
 
 
 def test_search_budget():
@@ -416,7 +417,66 @@ def test_quotient_merges_relabelings():
     assert len(classes) == 1 and classes[0][1] == 2
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("commutative", [True, False])
+@pytest.mark.parametrize("n", range(6))
+def test_quotient_matches_reference_quotient(n, commutative):
+    # the colour-refined classes against the least key over all n!
+    # relabelings of every table: same representatives, sizes and order
+    cands = brute_force_search(SearchConfig(n, commutative))
+    assert quotient_keys(cands) == naive.quotient(cands)
+
+
+def quotient_keys(cands) -> list:
+    return [((rep.triples(), tuple(sorted(rep.bot))), size) for rep, size in quotient_by_iso(cands)]
+
+
+def relabeled(rng, c):
+    # a seeded random relabeling sigma of c, and sigma itself
+    sigma = list(range(c.n))
+    rng.shuffle(sigma)
+    moved = candidate(c.n, [(sigma[x], sigma[y], sigma[z]) for x, y, z in c.triples()],
+                      [sigma[e] for e in c.bot])
+    return moved, sigma
+
+
+def multi_valued_tables(rng, n: int, count: int) -> list:
+    # seeded random relations with random unit sets, no axiom required,
+    # and the table with x*y = every z outside {x, y}, all one colour
+    tables = [candidate(n, [(x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                            if z not in (x, y)], [])]
+    for _ in range(count):
+        triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                   if rng.random() < 0.3]
+        tables.append(candidate(n, triples, [e for e in range(n) if rng.random() < 0.4]))
+    return tables
+
+
+def test_colours_and_keys_move_with_relabeling(special_frobenius_structures):
+    # with one signature table, sigma(x) in the relabeled table has the
+    # colour x has, so both get the same colour-ordered key
+    rng = random.Random(12)
+    tables = [c for c in special_frobenius_structures if c.n <= 6]
+    tables += [t for n in range(1, 6) for t in multi_valued_tables(rng, n, 6)]
+    for c in tables:
+        moved, sigma = relabeled(rng, c)
+        ids: dict = {}
+        colour = relfrob.classify._colours(c.n, c.triples(), c.bot, ids)
+        moved_colour = relfrob.classify._colours(c.n, moved.triples(), moved.bot, ids)
+        assert [moved_colour[sigma[x]] for x in range(c.n)] == colour, c
+        assert (relfrob.classify._colour_key(c.n, c.triples(), c.bot, ids)
+                == relfrob.classify._colour_key(c.n, moved.triples(), moved.bot, ids)), c
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_quotient_matches_reference_on_multi_valued_tables(n):
+    rng = random.Random(n)
+    tables = multi_valued_tables(rng, n, 8)
+    tables += [relabeled(rng, c)[0] for c in tables for _ in range(3)]
+    rng.shuffle(tables)
+    assert quotient_keys(tables) == naive.quotient(tables)
+
+
+@pytest.mark.parametrize("n", range(6))
 def test_cross_validate_small_carriers(n):
     result = cross_validate(n)
     assert result.ok
@@ -427,16 +487,16 @@ def test_cross_validate_small_carriers(n):
 
 
 def test_cross_validate_at_the_search_bound_needs_no_budget():
-    result = cross_validate(5)
-    assert result.ok and result.class_count == 8
-    assert sum(size for _, _, size in result.matches) == 281
+    result = cross_validate(6)
+    assert result.ok and result.class_count == 13
+    assert sum(size for _, _, size in result.matches) == 2101
 
 
 def test_cross_validate_above_the_search_bound_raises():
-    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 5"):
-        cross_validate(6)
-    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 5"):
-        cross_validate(6, budget=10)
+    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 6"):
+        cross_validate(7)
+    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 6"):
+        cross_validate(7, budget=10)
 
 
 @settings(deadline=None, max_examples=25)

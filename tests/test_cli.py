@@ -299,15 +299,15 @@ def test_cross_validate_roundtrip(capsys):
 
 
 def test_cross_validate_at_the_search_bound_needs_no_budget(capsys):
-    code, out, _ = run(capsys, "cross-validate", "--n", "5")
+    code, out, _ = run(capsys, "cross-validate", "--n", "6")
     assert code == 0
-    assert out.strip().endswith("8 classes match 8 enumerated structures")
+    assert out.strip().endswith("13 classes match 13 enumerated structures")
 
 
 def test_cross_validate_above_the_search_bound_exits_2(capsys):
-    code, out, err = run(capsys, "cross-validate", "--n", "6")
+    code, out, err = run(capsys, "cross-validate", "--n", "7")
     assert code == 2 and out == ""
-    assert err == "error: carrier size 6 exceeds the exhaustive search bound 5\n"
+    assert err == "error: carrier size 7 exceeds the exhaustive search bound 6\n"
 
 
 def test_machine_output_is_byte_stable(z2_file, capsys):
