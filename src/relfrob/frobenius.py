@@ -8,30 +8,35 @@ is the identity) and the interchange law relating multiplication to
 copying, and returns witnessed verdicts for each.
 
 The interchange law is checked twice, by independent routes: once by
-composing the relation diagrams and comparing them row by row, and once
-pointwise from the partial-operation reading of the multiplication.  The
-two verdicts must be structurally identical; a discrepancy indicates a bug
-in one of the routes.  The composite route computes the fiber and one split
-only: the other split is its converse, because delta is nabla's converse,
-and on failure it is read off the rows where the first split differs.
+composing the relation diagrams and comparing them block by block, and
+once pointwise from the partial-operation reading of the multiplication.
+The two verdicts must be structurally identical; a discrepancy indicates a
+bug in one of the routes.  The composite route computes the fiber and one
+split only: the other split is its converse, because delta is nabla's
+converse, and on failure it is read off the rows where the first split
+differs.
 
-Every composite is a lazy stream of bit rows.  No tensor is built: the
-whiskers ``Rel.whisker_right`` and ``Rel.whisker_left`` read each row of
-(r ⊗ id) >> s and (id ⊗ r) >> s straight off the rows of s.  They are the
-package's one ⊗ kernel (``Rel.tensor`` is a whisker too).
-``verify_structure`` drains the streams into a report cached on the
-candidate; ``satisfies_axioms`` stops at the first violating row and never
-runs the pointwise route.  The pointwise route works from dicts of products
-indexed by value and shares no code with the bit rows.
+Each composite is a lazy stream of blocks of bit rows.  No tensor is built:
+the whiskers ``Rel.whisker_right_blocks`` and ``Rel.whisker_left_blocks``
+build (r ⊗ id) >> s and (id ⊗ r) >> s straight off the rows of s, from the
+bit positions of r's rows, which each relation decodes once.  They are the
+package's one ⊗ kernel (``Rel.tensor`` is a whisker too).  Each axiom
+compares its two sides block against block with ``==``; only a block that
+differs is searched for its differing rows, which give the witness.
+``verify_structure`` builds the report from those rows and caches it on
+the candidate; ``satisfies_axioms`` stops at the first block that differs
+and never runs the pointwise route.  The pointwise route works from dicts
+of products indexed by value, with each pair (x, y) coded as x·n + y, and
+shares no code with the bit rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count, tee
+from itertools import chain, compress, count, islice
 from operator import ne, or_
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .rel import Rel, bits, identity, vector
 
@@ -74,7 +79,7 @@ class FrobeniusCandidate:
         return frozenset(bits(self.nabla.row(x * self.n + y)))
 
     def is_single_valued(self) -> bool:
-        return all(row & (row - 1) == 0 for row in self.nabla.rows)
+        return max(map(int.bit_count, self.nabla.rows), default=0) <= 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrobeniusCandidate):
@@ -160,67 +165,84 @@ class AxiomReport:
         yield "frobenius-pointwise", self.frobenius_pointwise
 
 
-def _mismatches(got: Iterable[int], want: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """(index, got row, wanted row) wherever two row streams differ, lazily."""
-    (got, got2), (want, want2) = tee(got), tee(want)
-    return compress(zip(count(), got, want), map(ne, got2, want2))
+# Each axiom below is a lazy stream of its composite route's differing
+# blocks: (index of the block's first row, got block, wanted block), in row
+# order.  Witness shapes are those documented on verify_structure.
+
+def _differing_blocks(got: Iterable[tuple[int, ...]],
+                      want: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple, tuple]]:
+    start = 0
+    for g, w in zip(got, want):
+        if g != w:
+            yield start, g, w
+        start += len(g)
 
 
-# Each axiom below is a generator of its composite route's violations in
-# row order; witness shapes are those documented on verify_structure.
+def _differing_rows(got: tuple[int, ...], want: tuple[int, ...]) -> Iterator[int]:
+    """The indices at which two equally long blocks differ."""
+    return compress(count(), map(ne, got, want))
+
 
 def _associativity(c: FrobeniusCandidate) -> Iterator[tuple]:
     n, nab = c.n, c.nabla
-    lhs = nab.whisker_right_rows(n, nab)  # (nabla ⊗ id) >> nabla
-    rhs = nab.whisker_left_rows(n, nab)   # (id ⊗ nabla) >> nabla
-    for p, left, right in _mismatches(lhs, rhs):
-        a, bc = divmod(p, n * n)
-        yield (a, *divmod(bc, n), frozenset(bits(left)), frozenset(bits(right)))
+    lhs = nab.whisker_right_blocks(n, nab)  # (nabla ⊗ id) >> nabla, n rows per (a, b)
+    rhs = nab.whisker_left_blocks(n, nab)   # (id ⊗ nabla) >> nabla, n*n rows per a
+    return _differing_blocks((tuple(chain.from_iterable(islice(lhs, n))) for _ in range(n)), rhs)
 
 
-def _identity_violations(rows: Iterable[int], n: int) -> Iterator[tuple]:
-    for x, got, _ in _mismatches(rows, identity(n).rows):
-        yield x, frozenset(bits(got))
+def _columns(c: FrobeniusCandidate) -> Iterator[tuple[int, ...]]:
+    """The blocks of swap >> nabla: block i is column i of the table."""
+    n, rows = c.n, c.nabla.rows
+    return (rows[i::n] for i in range(n))
 
 
 def _left_unit(c: FrobeniusCandidate) -> Iterator[tuple]:  # (bot ⊗ id) >> nabla
-    return _identity_violations(c.bot_vec.whisker_right_rows(c.n, c.nabla), c.n)
+    return _differing_blocks(c.bot_vec.whisker_right_blocks(c.n, c.nabla), (identity(c.n).rows,))
 
 
-def _right_unit(c: FrobeniusCandidate) -> Iterator[tuple]:  # (id ⊗ bot) >> nabla
-    return _identity_violations(c.bot_vec.whisker_left_rows(c.n, c.nabla), c.n)
+def _right_unit(c: FrobeniusCandidate) -> Iterator[tuple]:
+    # (id ⊗ bot) >> nabla is (bot ⊗ id) >> (swap >> nabla)
+    swapped = Rel(c.n * c.n, c.n, chain.from_iterable(_columns(c)))
+    return _differing_blocks(c.bot_vec.whisker_right_blocks(c.n, swapped), (identity(c.n).rows,))
 
 
 def _special(c: FrobeniusCandidate) -> Iterator[tuple]:  # delta >> nabla
-    return _identity_violations((c.delta >> c.nabla).rows, c.n)
+    return _differing_blocks(((c.delta >> c.nabla).rows,), (identity(c.n).rows,))
 
 
-def _commutativity(c: FrobeniusCandidate) -> Iterator[tuple]:
+def _commutativity(c: FrobeniusCandidate) -> Iterator[tuple]:  # swap >> nabla
     n, rows = c.n, c.nabla.rows
-    swapped = (rows[j * n + i] for i in range(n) for j in range(n))  # swap >> nabla
-    for p, got, want in _mismatches(swapped, rows):
-        yield (*divmod(p, n), frozenset(bits(got)), frozenset(bits(want)))
+    return _differing_blocks(_columns(c), (rows[i * n:(i + 1) * n] for i in range(n)))
 
 
 def _interchange(c: FrobeniusCandidate) -> Iterator[tuple]:
-    """(index, fiber row, split-left row) wherever the two differ.
+    """Blocks of the fiber and the split-left wherever the two differ.
 
     Split-right, (id ⊗ delta) >> (nabla ⊗ id), is the converse of split-left,
     (delta ⊗ id) >> (id ⊗ nabla), because delta is nabla's converse; and the
     fiber nabla >> delta is its own converse.  So once split-left equals the
-    fiber row by row, split-right does too, and it is never computed.
+    fiber, split-right does too, and it is never computed.
     """
     n, nab, delta = c.n, c.nabla, c.delta
-    return _mismatches((nab >> delta).rows, delta.whisker_right_rows(n, nab, n))
+    fiber = (nab >> delta).rows
+    return _differing_blocks((fiber[a * n:(a + 1) * n] for a in range(n)),
+                             delta.whisker_right_blocks(n, nab, n))
 
 
-def _first(violations: Iterator[tuple]) -> Verdict:
-    witness = next(violations, None)
-    return Verdict(True) if witness is None else Verdict(False, witness)
+def _first(blocks: Iterator[tuple], witness: Callable[..., tuple]) -> Verdict:
+    """A route's verdict: the witness is built from the first differing row's
+    index, got set and wanted set."""
+    for start, got, want in blocks:
+        q = next(_differing_rows(got, want))
+        return Verdict(False, witness(start + q, frozenset(bits(got[q])),
+                                      frozenset(bits(want[q]))))
+    return Verdict(True)
 
 
 def _interchange_verdict(c: FrobeniusCandidate) -> Verdict:
-    diff = {p: rf ^ rl for p, rf, rl in _interchange(c)}  # D = split-left xor fiber
+    # D = split-left xor fiber, on the rows where the two differ
+    diff = {start + q: fiber[q] ^ left[q] for start, fiber, left in _interchange(c)
+            for q in _differing_rows(fiber, left)}
     if not diff:
         return Verdict(True)
     # split-right = fiber xor D's converse, so its row p leaves the fiber
@@ -245,13 +267,18 @@ def verify_structure(c: FrobeniusCandidate) -> AxiomReport:
     on it.
     """
     if c._report is None:
+        n = c.n
+
+        def point(x, got, _):
+            return x, got
         c._report = AxiomReport(
-            n=c.n,
-            associativity=_first(_associativity(c)),
-            left_unit=_first(_left_unit(c)),
-            right_unit=_first(_right_unit(c)),
-            commutativity=_first(_commutativity(c)),
-            special=_first(_special(c)),
+            n=n,
+            associativity=_first(_associativity(c),
+                                 lambda p, lhs, rhs: (*divmod(p // n, n), p % n, lhs, rhs)),
+            left_unit=_first(_left_unit(c), point),
+            right_unit=_first(_right_unit(c), point),
+            commutativity=_first(_commutativity(c), lambda p, *sets: (*divmod(p, n), *sets)),
+            special=_first(_special(c), point),
             frobenius=_interchange_verdict(c),
             frobenius_pointwise=check_fro_pointwise(c) if c.is_single_valued() else None,
             empty_carrier=(c.n == 0),
@@ -262,7 +289,8 @@ def verify_structure(c: FrobeniusCandidate) -> AxiomReport:
 def satisfies_axioms(c: FrobeniusCandidate, commutative: bool = True) -> bool:
     """The report's ``is_classical`` (``is_special_frobenius`` when not
     commutative), from the composite routes alone: cheapest axiom first, up
-    to the first violating row, with no report built unless one is cached.
+    to the first block that differs, with no report built unless one is
+    cached.
     """
     if c._report is not None:
         return c._report.is_classical if commutative else c._report.is_special_frobenius
@@ -272,33 +300,51 @@ def satisfies_axioms(c: FrobeniusCandidate, commutative: bool = True) -> bool:
     return all(next(route(c), None) is None for route in routes)
 
 
-def _pointwise_index(c: FrobeniusCandidate) -> tuple[list, list, dict]:
-    """The partial operation as dicts: rows[x][y] and cols[y][x] hold x*y,
-    and fibers[z] is the set of pairs multiplying to z."""
+def _pointwise_index(c: FrobeniusCandidate) -> tuple:
+    """The partial operation, with each pair (x, y) coded as x·n + y.
+
+    rows[x] maps y to (x*y)·n and cols[y] maps x to x*y.  fibers[z] is the
+    set of codes of the pairs multiplying to z, and fibers[n] is empty;
+    pairs[z] lists the same pairs as (x, y), in code order.
+    """
     n = c.n
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     cols: list[dict[int, int]] = [{} for _ in range(n)]
-    fibers: dict[int, set[tuple[int, int]]] = {}
-    for p, row in enumerate(c.nabla.rows):
-        if row == 0:
-            continue
+    codes: list[list[int]] = [[] for _ in range(n + 1)]
+    table = c.nabla.rows
+    for p, row in zip(compress(count(), table), filter(None, table)):  # defined cells
         x, y = divmod(p, n)
         if row & (row - 1):
             raise ValueError(
                 f"multiplication is not single-valued at ({x}, {y}): "
                 f"values {sorted(bits(row))}")
-        rows[x][y] = cols[y][x] = z = row.bit_length() - 1
-        fibers.setdefault(z, set()).add((x, y))
-    return rows, cols, {z: frozenset(pairs) for z, pairs in fibers.items()}
+        z = row.bit_length() - 1
+        rows[x][y], cols[y][x] = z * n, z
+        codes[z].append(p)
+    return (n, rows, cols, [frozenset(ps) for ps in codes],
+            [[divmod(p, n) for p in ps] for ps in codes])
 
 
-def _sets_at(index: tuple[list, list, dict], i: int, j: int) -> tuple[frozenset, set, set]:
+def _sets_at(index: tuple, i: int, j: int) -> tuple[frozenset, set, set]:
     # each set costs the size of one fiber, not a scan of the table
-    rows, cols, fibers = index
-    fiber = fibers[rows[i][j]] if j in rows[i] else frozenset()
-    split_left = {(x, cols[j][yp]) for x, yp in fibers.get(i, ()) if yp in cols[j]}
-    split_right = {(rows[i][xp], y) for xp, y in fibers.get(j, ()) if xp in rows[i]}
+    n, rows, cols, fibers, pairs = index
+    ri, cj = rows[i], cols[j]
+    fiber = fibers[ri[j] // n] if j in ri else fibers[n]
+    split_left = {x * n + cj[yp] for x, yp in pairs[i] if yp in cj}  # (x, yp*j), x*yp = i
+    split_right = {ri[xp] + y for xp, y in pairs[j] if xp in ri}     # (i*xp, y), xp*y = j
     return fiber, split_left, split_right
+
+
+def _witness(index: tuple, i: int, j: int) -> FroWitness:
+    # The witness holds sets of pairs (x, y).  Each is built from fibers
+    # whose pairs were added in code order, so its layout, and so a
+    # report's pickle, does not depend on the code sets of the check.
+    n, rows, cols, _, pairs = index
+    ri, cj = rows[i], cols[j]
+    fiber_i, fiber_j, fiber = (frozenset(set(pairs[z])) for z in (i, j, ri[j] // n if j in ri else n))
+    return FroWitness(i, j, fiber,
+                      frozenset({(x, cj[yp]) for x, yp in fiber_i if yp in cj}),
+                      frozenset({(ri[xp] // n, y) for xp, y in fiber_j if xp in ri}))
 
 
 def frobenius_sets_at(c: FrobeniusCandidate, i: int, j: int) -> FroWitness:
@@ -307,7 +353,7 @@ def frobenius_sets_at(c: FrobeniusCandidate, i: int, j: int) -> FroWitness:
     Requires a single-valued multiplication.  Entries with undefined
     products are dropped, mirroring what the relational composites do.
     """
-    return FroWitness(i, j, *map(frozenset, _sets_at(_pointwise_index(c), i, j)))
+    return _witness(_pointwise_index(c), i, j)
 
 
 def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
@@ -327,6 +373,4 @@ def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
                 violations.append((i, j))
     if not violations:
         return Verdict(True)
-    i, j = violations[0]
-    return Verdict(False, FroWitness(i, j, *map(frozenset, _sets_at(index, i, j))),
-                   tuple(violations))
+    return Verdict(False, _witness(index, *violations[0]), tuple(violations))

@@ -10,13 +10,20 @@ Product sets are flattened to a single index set via (x, y) -> x*|Y| + y,
 so the tensor is associative on the nose and relations between products
 are plain relations.  The unit object is the one-element set; subsets of
 a carrier travel as relations from it.
+
+The whiskers (r ⊗ id) >> s and (id ⊗ r) >> s are the one ⊗ kernel.  They
+yield blocks of rows: the k rows that one row of r produces, or the rows of
+one i.  Blocks are gathered from s's rows at the bit positions of r's rows,
+which ``Rel.positions`` decodes once per relation, on first use; the t-th
+bits of many rows are gathered in one call.  The row forms chain the
+blocks.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import lshift, or_
-from typing import Iterable, Iterator
+from itertools import chain, repeat, zip_longest
+from operator import itemgetter, lshift, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -27,10 +34,18 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class _Decoded(dict):
+    """Row -> its set bit positions, each distinct row decoded once."""
+
+    def __missing__(self, row: int) -> tuple[int, ...]:
+        self[row] = ps = tuple(bits(row))
+        return ps
+
+
 class Rel:
     """A binary relation between {0..dom-1} and {0..cod-1}."""
 
-    __slots__ = ("dom", "cod", "rows")
+    __slots__ = ("dom", "cod", "rows", "_positions")
 
     def __init__(self, dom: int, cod: int, rows: Iterable[int]):
         rows = tuple(rows)
@@ -39,18 +54,19 @@ class Rel:
         if len(rows) != dom:
             raise ValueError(f"expected {dom} rows, got {len(rows)}")
         full = (1 << cod) - 1
-        for a, row in enumerate(rows):
-            if row < 0 or row & ~full:
-                raise ValueError(f"row {a} has bits outside 0..{cod - 1}")
+        if rows and (min(rows) < 0 or max(rows) > full):
+            a = next(a for a, row in enumerate(rows) if row < 0 or row > full)
+            raise ValueError(f"row {a} has bits outside 0..{cod - 1}")
         self.dom = dom
         self.cod = cod
         self.rows = rows
+        self._positions = None
 
     @classmethod
     def _unchecked(cls, dom: int, cod: int, rows: tuple[int, ...]) -> "Rel":
         """Wrap rows already known to fit dom x cod; for this module's operations."""
         r = object.__new__(cls)
-        r.dom, r.cod, r.rows = dom, cod, rows
+        r.dom, r.cod, r.rows, r._positions = dom, cod, rows, None
         return r
 
     @classmethod
@@ -68,6 +84,14 @@ class Rel:
     def row(self, a: int) -> int:
         return self.rows[a]
 
+    @property
+    def positions(self) -> tuple[tuple[int, ...], ...]:
+        """The set bit positions of every row, lowest first: decoded on first
+        use, then kept, so each relation's rows are decoded once."""
+        if self._positions is None:
+            self._positions = tuple(map(_Decoded().__getitem__, self.rows))
+        return self._positions
+
     def then(self, other: "Rel") -> "Rel":
         """Relational composition, self first: a (self;other) c."""
         if self.cod != other.dom:
@@ -75,9 +99,9 @@ class Rel:
                 f"composition mismatch: {self.dom}x{self.cod} then {other.dom}x{other.cod}")
         orows = other.rows
         out = []
-        for row in self.rows:
+        for ps in self.positions:
             acc = 0
-            for b in bits(row):
+            for b in ps:
                 acc |= orows[b]
             out.append(acc)
         return Rel._unchecked(self.dom, other.cod, tuple(out))
@@ -98,28 +122,39 @@ class Rel:
 
     def whisker_right(self, k: int, s: "Rel", m: int = 1) -> "Rel":
         """(self ⊗ id_k) >> (id_m ⊗ s), for self from A to m*B and s from B*k
-        to C, with neither tensor built; ``whisker_right_rows`` is lazy."""
+        to C, with neither tensor built; ``whisker_right_blocks`` is lazy."""
         return Rel._unchecked(self.dom * k, m * s.cod, tuple(self.whisker_right_rows(k, s, m)))
 
     def whisker_left(self, k: int, s: "Rel", m: int = 1) -> "Rel":
         """(id_k ⊗ self) >> (s ⊗ id_m), for self from A to B*m and s from k*B
-        to C, with neither tensor built; ``whisker_left_rows`` is lazy."""
+        to C, with neither tensor built; ``whisker_left_blocks`` is lazy."""
         return Rel._unchecked(k * self.dom, s.cod * m, tuple(self.whisker_left_rows(k, s, m)))
 
     def whisker_right_rows(self, k: int, s: "Rel", m: int = 1) -> Iterator[int]:
-        # row (a, j) joins s's row (b, j), moved to block x, over the bits (x, b) of row a
-        return _right_rows(*self._whisker_shape(k, s, m), k, s.rows, s.cod)
+        return chain.from_iterable(self.whisker_right_blocks(k, s, m))
 
     def whisker_left_rows(self, k: int, s: "Rel", m: int = 1) -> Iterator[int]:
-        # row (i, a) joins s's row (i, b), value z moved to z*m + y, over bits (b, y) of row a
-        return _left_rows(*self._whisker_shape(k, s, m), k, s.rows, m)
+        return chain.from_iterable(self.whisker_left_blocks(k, s, m))
 
-    def _whisker_shape(self, k: int, s: "Rel", m: int) -> tuple[tuple[int, ...], int]:
-        """The rows to read (none when k = 0) and B in the shapes above."""
+    def whisker_right_blocks(self, k: int, s: "Rel", m: int = 1) -> Iterator[tuple[int, ...]]:
+        """The rows of ``whisker_right`` as one block per row a of self:
+        the k rows (a, 0) .. (a, k-1)."""
+        # row (a, j) joins s's row (b, j), moved to block x, over the bits (x, b) of row a
+        return _right_blocks(*self._whisker_shape(k, s, m), k, s.rows, s.cod, m)
+
+    def whisker_left_blocks(self, k: int, s: "Rel", m: int = 1) -> Iterator[tuple[int, ...]]:
+        """The rows of ``whisker_left`` as one block per i < k: the rows
+        (i, 0) .. (i, dom-1)."""
+        # row (i, a) joins s's row (i, b), value z moved to z*m + y, over bits (b, y) of row a
+        return _left_blocks(*self._whisker_shape(k, s, m), k, s.rows, m)
+
+    def _whisker_shape(self, k: int, s: "Rel", m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The bit positions of the rows to read (none when k = 0) and B in
+        the shapes above."""
         if k < 0 or m < 0 or self.cod * k != m * s.dom or (m and self.cod % m):
             raise ValueError(f"whisker mismatch: {self.dom}x{self.cod} with k={k}, m={m} "
                              f"then {s.dom}x{s.cod}")
-        return (self.rows if k else ()), (self.cod // m if m else 0)
+        return (self.positions if k else ()), (self.cod // m if m else 0)
 
     def is_mono(self) -> bool:
         """Whether the direct-image map on subsets is injective.
@@ -146,33 +181,70 @@ class Rel:
         return f"Rel({self.dom}, {self.cod}, {sorted(self.pairs())})"
 
 
-def _right_rows(rows, width: int, k: int, srows, cod: int) -> Iterator[int]:
-    for row in rows:
-        block = None
-        for p in bits(row):
+def _getter(indices: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """seq -> the tuple of seq's items at indices, in one call."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices) if indices else lambda seq: ()
+
+
+def _right_blocks(positions, width: int, k: int, srows, cod: int,
+                  m: int) -> Iterator[tuple[int, ...]]:
+    zero = (0,) * k
+    if m == 1 and max(map(len, positions), default=0) <= 1:
+        # each block is one part of s, unmoved, or the zero block
+        firsts = next(zip_longest(*positions, fillvalue=width), (width,) * len(positions))
+        parts = {b: srows[b * k:(b + 1) * k] for b in set(firsts)}
+        parts[width] = zero
+        return iter(_getter(firsts)(parts))
+
+    def join(ps: tuple[int, ...]) -> tuple[int, ...]:
+        block = zero
+        for p in ps:
             x, b = divmod(p, width)
             part = srows[b * k:(b + 1) * k]
             part = map(lshift, part, repeat(x * cod)) if x else part
-            block = list(part) if block is None else list(map(or_, block, part))
-        yield from repeat(0, k) if block is None else block
+            block = tuple(part) if block is zero else tuple(map(or_, block, part))
+        return block
+    return map(join, positions)
 
 
-def _left_rows(rows, width: int, k: int, srows, m: int) -> Iterator[int]:
+def _left_blocks(positions, width: int, k: int, srows, m: int) -> Iterator[tuple[int, ...]]:
     if m > 1:
         srows = [sum(1 << (z * m) for z in bits(row)) for row in srows]
-    # Layer t lists the t-th bit (b, y) of every row; a row with fewer bits
-    # points at the zero appended after each block of s's rows.
-    parts = [[divmod(p, m) for p in bits(row)] for row in rows]
-    layers = [tuple(zip(*(pa[t] if t < len(pa) else (width, 0) for pa in parts)))
-              for t in range(max(map(len, parts), default=0))]
+    # Rows are read in groups of equal bit count, so a block costs its rows
+    # plus their bits; slot puts the rows back in order after the groups
+    # are laid end to end.
+    groups, slot = [range(len(positions))], None
+    if max(map(len, positions), default=0) > 1:
+        by_count: dict[int, list[int]] = {}
+        for a, ps in enumerate(positions):
+            by_count.setdefault(len(ps), []).append(a)
+        if len(by_count) > 1:
+            groups = list(by_count.values())
+            order = list(chain.from_iterable(groups))
+            slot = _getter(tuple(sorted(range(len(order)), key=order.__getitem__)))
+    # Layer t of a group lists the t-th bit (b, y) of each of its rows, as
+    # a getter of b and the shifts y; in a group of rows with at most one
+    # bit, a missing bit reads the zero appended after s's rows of i.
+    plan = []
+    for rows in groups:
+        layers = zip_longest(*map(positions.__getitem__, rows), fillvalue=width * m)
+        if m > 1:
+            layers = (zip(*map(divmod, ps, repeat(m))) for ps in layers)
+        plan.append((len(rows), [(_getter(bs), ys) for bs, ys in layers] if m > 1 else
+                     [(_getter(ps), ()) for ps in layers]))
     for i in range(k):
-        block = [*srows[i * width:(i + 1) * width], 0]
-        acc = None
-        for bs, ys in layers:
-            vals = map(block.__getitem__, bs)
-            vals = map(lshift, vals, ys) if m > 1 else vals
-            acc = list(vals) if acc is None else list(map(or_, acc, vals))
-        yield from repeat(0, len(rows)) if acc is None else acc
+        block = (*srows[i * width:(i + 1) * width], 0)
+        got = []
+        for size, layers in plan:
+            acc = None
+            for get, ys in layers:
+                vals = get(block) if m <= 1 else map(lshift, get(block), ys)
+                acc = tuple(vals) if acc is None else tuple(map(or_, acc, vals))
+            got.append((0,) * size if acc is None else acc)
+        yield got[0] if slot is None else slot(tuple(chain.from_iterable(got)))
 
 
 def identity(n: int) -> Rel:

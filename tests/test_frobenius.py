@@ -3,6 +3,9 @@ pair-set reference implementation."""
 
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -10,7 +13,7 @@ from hypothesis import given
 import naive
 import relfrob.frobenius
 from conftest import candidate, relational_tables, single_valued_tables
-from relfrob import (FroWitness, FrobeniusCandidate, build_biproduct,
+from relfrob import (FroWitness, FrobeniusCandidate, Verdict, build_biproduct,
                      check_fro_pointwise, classical_elements, decompose,
                      enumerate_special_frobenius, frobenius_sets_at,
                      parse_structure_spec, quantum_structure, satisfies_axioms,
@@ -211,17 +214,22 @@ def test_pair_violating_only_through_split_right():
 
 
 def test_passing_checks_never_compute_split_right(monkeypatch):
-    # split-right is the only composite of the form (id ⊗ r) >> (s ⊗ id_m), m > 1
-    whisker_left_rows = relfrob.Rel.whisker_left_rows
+    # split-right is the only composite of the form (id ⊗ r) >> (s ⊗ id_m),
+    # m > 1; every left whisker, rows or Rel, is built from these blocks
+    whisker_left_blocks = relfrob.Rel.whisker_left_blocks
+    calls = []
 
     def spy(self, k, s, m=1):
         if m > 1:
             raise AssertionError("split-right computed")
-        return whisker_left_rows(self, k, s, m)
-    monkeypatch.setattr(relfrob.Rel, "whisker_left_rows", spy)
+        calls.append(m)
+        return whisker_left_blocks(self, k, s, m)
+    monkeypatch.setattr(relfrob.Rel, "whisker_left_blocks", spy)
     assert verify_structure(build_biproduct(parse_structure_spec("2;3"))).is_classical
     c = build_biproduct(parse_structure_spec("2;3"))
     assert satisfies_axioms(c) and satisfies_axioms(c, commutative=False)
+    # the spy sits on the code that runs: associativity is a left whisker
+    assert calls
 
 
 def test_comonoid_laws_hold_for_verified_structures(z2, standard2, z3):
@@ -295,21 +303,34 @@ def test_predicate_accepts_groups_without_the_pointwise_route(monkeypatch):
     assert not satisfies_axioms(s3) and satisfies_axioms(s3, commutative=False)
 
 
+ROUTE_NAMES = ("_associativity", "_left_unit", "_right_unit", "_commutativity",
+               "_special", "_interchange", "check_fro_pointwise")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("axioms checked again")
+
+
 def test_second_verify_and_require_reuse_the_cached_report(monkeypatch):
     c = build_biproduct(parse_structure_spec("2;3"))
     first = verify_structure(c)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("axioms checked again")
-    for name in ("_associativity", "_left_unit", "_right_unit", "_commutativity",
-                 "_special", "_interchange", "check_fro_pointwise"):
-        monkeypatch.setattr(relfrob.frobenius, name, refuse)
+    for name in ROUTE_NAMES:
+        monkeypatch.setattr(relfrob.frobenius, name, _refuse)
     assert verify_structure(c) is first
     assert satisfies_axioms(c)
     # every analysis entry point goes through _require
     assert decompose(c).spec.label == "Z2 + Z3"
     assert len(classical_elements(c)) == 2
     assert quantum_structure(c).n == 5
+
+
+@pytest.mark.parametrize("name", ROUTE_NAMES)
+def test_each_refused_route_runs_on_a_fresh_candidate(monkeypatch, name):
+    # the cache test above refuses these names; each must be one that a
+    # fresh verify_structure calls, or refusing it would prove nothing
+    monkeypatch.setattr(relfrob.frobenius, name, _refuse)
+    with pytest.raises(AssertionError, match="checked again"):
+        verify_structure(build_biproduct(parse_structure_spec("2;3")))
 
 
 def test_equal_candidates_do_not_share_a_report():
@@ -326,3 +347,72 @@ def test_empty_table_on_120_points_verifies():
     assert rep.special.witness == (0, frozenset())
     assert rep.frobenius_pointwise == rep.frobenius
     assert not rep.is_special_frobenius
+
+
+def _reference_verdicts(n, triples, bot) -> dict:
+    """The verdicts other than interchange, read off the definitions: each
+    law's witness is its first violating row in row order."""
+    prod = naive.products_of(triples)
+
+    def get(x, y):
+        return frozenset(prod.get((x, y), ()))
+
+    def first(rows):  # rows: (witness, got, want) in row order
+        return next((Verdict(False, w) for w, got, want in rows if got != want), Verdict(True))
+
+    def assoc_rows():
+        for a, b, c in product(range(n), repeat=3):
+            lhs = frozenset(w for m in get(a, b) for w in get(m, c))
+            rhs = frozenset(w for m in get(b, c) for w in get(a, m))
+            yield (a, b, c, lhs, rhs), lhs, rhs
+
+    def point_rows(got_at):
+        for x in range(n):
+            got = got_at(x)
+            yield (x, got), got, {x}
+
+    return {
+        "associativity": first(assoc_rows()),
+        "left_unit": first(point_rows(lambda x: frozenset(z for e in bot for z in get(e, x)))),
+        "right_unit": first(point_rows(lambda x: frozenset(z for e in bot for z in get(x, e)))),
+        "commutativity": first(((i, j, get(j, i), get(i, j)), get(j, i), get(i, j))
+                               for i in range(n) for j in range(n)),
+        "special": first(point_rows(lambda x: frozenset(
+            w for zs in prod.values() if x in zs for w in zs))),
+    }
+
+
+def _one_cell_perturbation(spec: str, kind: str, seed: int) -> tuple:
+    c = build_biproduct(parse_structure_spec(spec))
+    rng = random.Random(f"{spec}/{kind}/{seed}")
+    triples, bot = list(c.triples()), set(c.bot)
+    if kind == "unit removed":
+        bot.remove(rng.choice(sorted(bot)))
+    else:
+        k = rng.randrange(len(triples))
+        x, y, z = triples[k]
+        if kind == "cell deleted":
+            del triples[k]
+        else:
+            triples[k] = (x, y, rng.choice([v for v in range(c.n) if v != z]))
+    return c.n, tuple(triples), frozenset(bot)
+
+
+# Z16, Z2^4 and Z3 + Z4 + Z8, each with one cell or one unit changed; Z16
+# and Z2^4 have one unit, so one seed covers its removal
+PERTURBATIONS = [(spec, kind, seed) for spec in ("16", "2,2,2,2", "3;4;8")
+                 for kind, seeds in (("value changed", 2), ("cell deleted", 2), ("unit removed", 1))
+                 for seed in range(seeds)]
+
+
+@pytest.mark.parametrize("spec, kind, seed", PERTURBATIONS)
+def test_witnesses_match_reference_above_six_points(spec, kind, seed):
+    n, triples, bot = _one_cell_perturbation(spec, kind, seed)
+    rep = verify_structure(candidate(n, triples, bot))
+    want = _reference_verdicts(n, triples, bot)
+    for name, verdict in want.items():
+        assert getattr(rep, name) == verdict, name
+    v = rep.frobenius
+    assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
+    assert rep.frobenius_pointwise == rep.frobenius
+

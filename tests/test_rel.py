@@ -132,22 +132,55 @@ def test_whiskers_are_tensor_then_compose(a, b, c, k, data):
     assert r.whisker_left(k, s) == identity(k).tensor(r) >> s
 
 
+def partial_function_between(dom: int, cod: int) -> st.SearchStrategy[Rel]:
+    """Relations whose rows have at most one bit, the tables the checker
+    reads most: the whiskers gather all their rows at once."""
+    value = st.integers(-1, cod - 1)  # -1: no bit
+    return st.lists(value, min_size=dom, max_size=dom).map(
+        lambda vs: Rel(dom, cod, [1 << v if v >= 0 else 0 for v in vs]))
+
+
+def any_rel_between(dom: int, cod: int) -> st.SearchStrategy[Rel]:
+    return st.one_of(rel_between(dom, cod), partial_function_between(dom, cod))
+
+
 @given(dims, dims, dims, dims, dims, st.data())
 def test_whiskers_with_outer_identity_match_reference(a, b, c, k, m, data):
-    r = data.draw(rel_between(a, m * b))
-    s = data.draw(rel_between(b * k, c))
+    r = data.draw(any_rel_between(a, m * b))
+    s = data.draw(any_rel_between(b * k, c))
     want = r.tensor(identity(k)) >> identity(m).tensor(s)
     assert r.whisker_right(k, s, m) == want
     assert list(r.whisker_right_rows(k, s, m)) == list(want.rows)
+    # one block of k rows per row of r
+    assert list(r.whisker_right_blocks(k, s, m)) == [
+        want.rows[x * k:(x + 1) * k] for x in range(a if k else 0)]
     assert want.pairs() == naive.compose(
         naive.tensor(r.pairs(), (a, m * b), naive.identity_pairs(k), (k, k)),
         naive.tensor(naive.identity_pairs(m), (m, m), s.pairs(), (b * k, c)))
 
-    r = data.draw(rel_between(a, b * m))
-    s = data.draw(rel_between(k * b, c))
+    r = data.draw(any_rel_between(a, b * m))
+    s = data.draw(any_rel_between(k * b, c))
     want = identity(k).tensor(r) >> s.tensor(identity(m))
     assert r.whisker_left(k, s, m) == want
     assert list(r.whisker_left_rows(k, s, m)) == list(want.rows)
+    # one block of a rows per i < k
+    assert list(r.whisker_left_blocks(k, s, m)) == [
+        want.rows[i * a:(i + 1) * a] for i in range(k)]
+    assert want.pairs() == naive.compose(
+        naive.tensor(naive.identity_pairs(k), (k, k), r.pairs(), (a, b * m)),
+        naive.tensor(s.pairs(), (k * b, c), naive.identity_pairs(m), (m, m)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_left_whisker_puts_rows_of_mixed_bit_counts_back_in_order(m):
+    # the left kernel reads rows grouped by bit count; rows with 2, 0, 1, 2
+    # and 3 bits make three groups that are not in row order
+    b, k = 3, 2
+    r = Rel(5, b * m, [0b101, 0, 0b10, 0b11, 0b111])
+    s = Rel.from_pairs(k * b, 4, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 3), (5, 2)])
+    want = naive.compose(naive.tensor(naive.identity_pairs(k), (k, k), r.pairs(), (5, b * m)),
+                         naive.tensor(s.pairs(), (k * b, 4), naive.identity_pairs(m), (m, m)))
+    assert r.whisker_left(k, s, m).pairs() == want
 
 
 def test_whiskers_by_nothing_have_no_rows():
