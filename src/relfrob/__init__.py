@@ -16,8 +16,7 @@ from .classify import (BudgetExceededError, CrossValidation, SearchConfig,
 from .files import (StructureParseError, load_structure, parse_structure,
                     render_structure, save_structure)
 from .frobenius import (AxiomReport, FrobeniusCandidate, FroWitness, Verdict,
-                        check_fro_pointwise, frobenius_sets_at, satisfies_axioms,
-                        verify_structure)
+                        check_fro_pointwise, satisfies_axioms, verify_structure)
 from .groups import (BUILTIN_NONABELIAN, AbelianGroupSpec, GroupSpec, StructureSpec,
                      abelian_table, build_biproduct, build_group_structure,
                      element_orders, enumerate_abelian_groups, identify_group,
@@ -36,7 +35,7 @@ __all__ = [
     "check_fro_pointwise", "classical_elements", "comonoid_subobjects",
     "cross_validate", "decompose", "element_orders", "enumerate_abelian_groups",
     "enumerate_classical_structures", "enumerate_special_frobenius",
-    "frobenius_sets_at", "identity", "identify_group", "invariant_factors_of_table",
+    "identity", "identify_group", "invariant_factors_of_table",
     "is_partial_bijection", "load_structure", "normalize_invariant_factors",
     "parse_structure", "parse_structure_spec", "partitions", "quantum_structure",
     "quotient_by_iso", "render_structure", "represent", "satisfies_axioms",

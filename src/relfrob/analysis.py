@@ -9,7 +9,8 @@ partition from the unit subset and checks that the blocks really are
 groups, raising ``DecompositionError`` when they are not.  Every candidate
 is run through the axiom checker first (once: the report is cached on the
 candidate).  The duality, representation and dual-subset composites are
-whiskers (``Rel.whisker_right``/``whisker_left``), like every tensor.
+right whiskers (``Rel.whisker_right``), like every tensor; the left
+triangle of the duality and the dual subset are read off their converses.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ def check_duality(q: QuantumStructure) -> Verdict:
     identity, sides scanned left then right.
     """
     n = q.n
-    left = q.eta.whisker_left(n, q.epsilon, n)  # (id ⊗ eta) >> (epsilon ⊗ id)
     right = q.eta.whisker_right(n, q.epsilon, n)  # (eta ⊗ id) >> (id ⊗ epsilon)
+    left = right.converse()  # (id ⊗ eta) >> (epsilon ⊗ id), as epsilon = eta converse
     for side, composite in (("left", left), ("right", right)):
         for x in range(n):
             if composite.row(x) != 1 << x:
@@ -148,9 +149,11 @@ def star(c: FrobeniusCandidate, phi: Iterable[int]) -> frozenset[int]:
     Assumes a verified commutative structure; like ``represent`` this is a
     formula evaluator and performs no axiom checking of its own.
     """
-    eta = c.bot_vec >> c.delta
-    phi_op = vector(c.n, phi).converse()
-    return frozenset(bits(eta.whisker_left(1, phi_op, c.n).row(0)))  # eta >> (phi_op ⊗ id)
+    # eta >> (phi converse ⊗ id) is the converse of (phi ⊗ id) >> epsilon,
+    # with epsilon = eta converse = nabla >> top: x is in it when row x of
+    # the latter is not empty
+    rows = vector(c.n, phi).whisker_right(c.n, c.nabla >> c.top).rows
+    return frozenset(x for x, row in enumerate(rows) if row)
 
 
 def decompose(c: FrobeniusCandidate) -> DecompositionResult:

@@ -103,8 +103,9 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     The skeleton forces every cell but the composable cells between
     non-units: x*y is undefined unless r(x) = l(y), and l(x)*x = x*r(x) =
     x.  Each remaining cell x*y takes a z in H(l(x), r(y)) that repeats no
-    value of its row or its column and keeps every decided triple
-    associative.  Every leaf still runs the full ``satisfies_axioms``.
+    value of its row or its column and keeps associative every decided
+    triple that reads it as an inner product, (x, y, c) or (a, x, y).
+    Every leaf still runs the full ``satisfies_axioms``.
     n is capped at ``SEARCH_CARRIER_LIMIT``; ``budget``, when given,
     bounds the nodes explored: one per skeleton and one per cell value
     tried.
@@ -163,18 +164,15 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
             raise BudgetExceededError(explored, found)
 
     def associative(p: int, q: int) -> bool:
-        # (a*b)*c against a*(b*c) on every triple that reads the cell p*q.
-        # Once a*b and b*c are defined both sides are, by composability, so
-        # an empty cell on either side is one not decided yet.
+        # (a*b)*c against a*(b*c) on the triples (p, q, c) and (a, p, q),
+        # which read the cell p*q as an inner product.  Once a*b and b*c are
+        # defined both sides are, by composability, so an empty cell on
+        # either side is one not decided yet.  The triples that read p*q as
+        # an outer product are left to the leaf check: scanning for them
+        # costs more than it prunes.
         row_p, row_q, z = table[p], table[q], table[p][q]
         pairs = [(table[z][c], row_p[qc]) for c, qc in enumerate(row_q) if qc >= 0]
         pairs += [(table[row_a[p]][q], row_a[z]) for row_a in table if row_a[p] >= 0]
-        for row_a in table:  # a*b = p
-            if p in row_a and (bq := table[row_a.index(p)][q]) >= 0:
-                pairs.append((z, row_a[bq]))
-        for b, row_b in enumerate(table):  # b*c = q
-            if q in row_b and row_p[b] >= 0:
-                pairs.append((table[row_p[b]][row_b.index(q)], z))
         return all(u == v or u < 0 or v < 0 for u, v in pairs)
 
     def fill(cells: list, k: int, bot: tuple[int, ...]):

@@ -16,13 +16,16 @@ split only: the other split is its converse, because delta is nabla's
 converse, and on failure it is read off the rows where the first split
 differs.
 
-Each composite is a lazy stream of blocks of bit rows.  No tensor is built:
-the whiskers ``Rel.whisker_right_blocks`` and ``Rel.whisker_left_blocks``
-build (r ⊗ id) >> s and (id ⊗ r) >> s straight off the rows of s, from the
-bit positions of r's rows, which each relation decodes once.  They are the
-package's one ⊗ kernel (``Rel.tensor`` is a whisker too).  Each axiom
-compares its two sides block against block with ``==``; only a block that
-differs is searched for its differing rows, which give the witness.
+Each composite is a stream of blocks of bit rows.  No tensor is built: the
+right whisker ``Rel.whisker_right_blocks`` builds (r ⊗ id) >> s straight
+off the rows of s, from the bit positions of r's rows, which each relation
+decodes once.  It is the package's one ⊗ kernel (``Rel.tensor`` is a
+whisker too).  A composite with r on the right of the ⊗ is read off it:
+the right unit whiskers swap >> nabla, and the right side of
+associativity is the transpose of such a whisker, so it is the one stream
+built whole before its first block is compared.  Each axiom compares its
+two sides block against block with ``==``; only a block that differs is
+searched for its differing rows, which give the witness.
 ``verify_structure`` builds the report from those rows and caches it on
 the candidate; ``satisfies_axioms`` stops at the first block that differs
 and never runs the pointwise route.  The pointwise route works from dicts
@@ -183,17 +186,24 @@ def _differing_rows(got: tuple[int, ...], want: tuple[int, ...]) -> Iterator[int
     return compress(count(), map(ne, got, want))
 
 
-def _associativity(c: FrobeniusCandidate) -> Iterator[tuple]:
-    n, nab = c.n, c.nabla
-    lhs = nab.whisker_right_blocks(n, nab)  # (nabla ⊗ id) >> nabla, n rows per (a, b)
-    rhs = nab.whisker_left_blocks(n, nab)   # (id ⊗ nabla) >> nabla, n*n rows per a
-    return _differing_blocks((tuple(chain.from_iterable(islice(lhs, n))) for _ in range(n)), rhs)
-
-
 def _columns(c: FrobeniusCandidate) -> Iterator[tuple[int, ...]]:
     """The blocks of swap >> nabla: block i is column i of the table."""
     n, rows = c.n, c.nabla.rows
     return (rows[i::n] for i in range(n))
+
+
+def _swapped(c: FrobeniusCandidate) -> Rel:
+    """swap >> nabla: row (x, y) is the product y*x."""
+    return Rel(c.n * c.n, c.n, chain.from_iterable(_columns(c)))
+
+
+def _associativity(c: FrobeniusCandidate) -> Iterator[tuple]:
+    n, nab = c.n, c.nabla
+    lhs = nab.whisker_right_blocks(n, nab)  # (nabla ⊗ id) >> nabla, n rows per (a, b)
+    # (id ⊗ nabla) >> nabla, n*n rows per a, is the transpose of
+    # (nabla ⊗ id) >> (swap >> nabla), n rows per (b, c)
+    rhs = zip(*nab.whisker_right_blocks(n, _swapped(c)))
+    return _differing_blocks((tuple(chain.from_iterable(islice(lhs, n))) for _ in range(n)), rhs)
 
 
 def _left_unit(c: FrobeniusCandidate) -> Iterator[tuple]:  # (bot ⊗ id) >> nabla
@@ -202,8 +212,8 @@ def _left_unit(c: FrobeniusCandidate) -> Iterator[tuple]:  # (bot ⊗ id) >> nab
 
 def _right_unit(c: FrobeniusCandidate) -> Iterator[tuple]:
     # (id ⊗ bot) >> nabla is (bot ⊗ id) >> (swap >> nabla)
-    swapped = Rel(c.n * c.n, c.n, chain.from_iterable(_columns(c)))
-    return _differing_blocks(c.bot_vec.whisker_right_blocks(c.n, swapped), (identity(c.n).rows,))
+    return _differing_blocks(c.bot_vec.whisker_right_blocks(c.n, _swapped(c)),
+                             (identity(c.n).rows,))
 
 
 def _special(c: FrobeniusCandidate) -> Iterator[tuple]:  # delta >> nabla
@@ -345,15 +355,6 @@ def _witness(index: tuple, i: int, j: int) -> FroWitness:
     return FroWitness(i, j, fiber,
                       frozenset({(x, cj[yp]) for x, yp in fiber_i if yp in cj}),
                       frozenset({(ri[xp] // n, y) for xp, y in fiber_j if xp in ri}))
-
-
-def frobenius_sets_at(c: FrobeniusCandidate, i: int, j: int) -> FroWitness:
-    """Evaluate the three pointwise interchange sets at one input pair.
-
-    Requires a single-valued multiplication.  Entries with undefined
-    products are dropped, mirroring what the relational composites do.
-    """
-    return _witness(_pointwise_index(c), i, j)
 
 
 def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:

@@ -11,12 +11,12 @@ so the tensor is associative on the nose and relations between products
 are plain relations.  The unit object is the one-element set; subsets of
 a carrier travel as relations from it.
 
-The whiskers (r ⊗ id) >> s and (id ⊗ r) >> s are the one ⊗ kernel.  They
-yield blocks of rows: the k rows that one row of r produces, or the rows of
-one i.  Blocks are gathered from s's rows at the bit positions of r's rows,
-which ``Rel.positions`` decodes once per relation, on first use; the t-th
-bits of many rows are gathered in one call.  The row forms chain the
-blocks.
+The right whisker (r ⊗ id) >> (id ⊗ s) is the one ⊗ kernel; a composite
+with r on the right of the ⊗ is read off it by a converse or a swap.  It
+yields blocks of rows, the k rows that one row of r produces, gathered from
+s's rows at the bit positions of r's rows, which ``Rel.positions`` decodes
+once per relation, on first use; the t-th bits of many rows are gathered in
+one call.  ``Rel.whisker_right`` chains the blocks.
 """
 
 from __future__ import annotations
@@ -123,38 +123,19 @@ class Rel:
     def whisker_right(self, k: int, s: "Rel", m: int = 1) -> "Rel":
         """(self ⊗ id_k) >> (id_m ⊗ s), for self from A to m*B and s from B*k
         to C, with neither tensor built; ``whisker_right_blocks`` is lazy."""
-        return Rel._unchecked(self.dom * k, m * s.cod, tuple(self.whisker_right_rows(k, s, m)))
-
-    def whisker_left(self, k: int, s: "Rel", m: int = 1) -> "Rel":
-        """(id_k ⊗ self) >> (s ⊗ id_m), for self from A to B*m and s from k*B
-        to C, with neither tensor built; ``whisker_left_blocks`` is lazy."""
-        return Rel._unchecked(k * self.dom, s.cod * m, tuple(self.whisker_left_rows(k, s, m)))
-
-    def whisker_right_rows(self, k: int, s: "Rel", m: int = 1) -> Iterator[int]:
-        return chain.from_iterable(self.whisker_right_blocks(k, s, m))
-
-    def whisker_left_rows(self, k: int, s: "Rel", m: int = 1) -> Iterator[int]:
-        return chain.from_iterable(self.whisker_left_blocks(k, s, m))
+        rows = chain.from_iterable(self.whisker_right_blocks(k, s, m))
+        return Rel._unchecked(self.dom * k, m * s.cod, tuple(rows))
 
     def whisker_right_blocks(self, k: int, s: "Rel", m: int = 1) -> Iterator[tuple[int, ...]]:
         """The rows of ``whisker_right`` as one block per row a of self:
         the k rows (a, 0) .. (a, k-1)."""
-        # row (a, j) joins s's row (b, j), moved to block x, over the bits (x, b) of row a
-        return _right_blocks(*self._whisker_shape(k, s, m), k, s.rows, s.cod, m)
-
-    def whisker_left_blocks(self, k: int, s: "Rel", m: int = 1) -> Iterator[tuple[int, ...]]:
-        """The rows of ``whisker_left`` as one block per i < k: the rows
-        (i, 0) .. (i, dom-1)."""
-        # row (i, a) joins s's row (i, b), value z moved to z*m + y, over bits (b, y) of row a
-        return _left_blocks(*self._whisker_shape(k, s, m), k, s.rows, m)
-
-    def _whisker_shape(self, k: int, s: "Rel", m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The bit positions of the rows to read (none when k = 0) and B in
-        the shapes above."""
         if k < 0 or m < 0 or self.cod * k != m * s.dom or (m and self.cod % m):
             raise ValueError(f"whisker mismatch: {self.dom}x{self.cod} with k={k}, m={m} "
                              f"then {s.dom}x{s.cod}")
-        return (self.positions if k else ()), (self.cod // m if m else 0)
+        # row (a, j) joins s's row (b, j), moved to block x, over the bits (x, b)
+        # of row a, where B = cod / m; with k = 0 there are no rows to read
+        return _right_blocks(self.positions if k else (), self.cod // m if m else 0,
+                             k, s.rows, s.cod, m)
 
     def is_mono(self) -> bool:
         """Whether the direct-image map on subsets is injective.
@@ -208,43 +189,6 @@ def _right_blocks(positions, width: int, k: int, srows, cod: int,
             block = tuple(part) if block is zero else tuple(map(or_, block, part))
         return block
     return map(join, positions)
-
-
-def _left_blocks(positions, width: int, k: int, srows, m: int) -> Iterator[tuple[int, ...]]:
-    if m > 1:
-        srows = [sum(1 << (z * m) for z in bits(row)) for row in srows]
-    # Rows are read in groups of equal bit count, so a block costs its rows
-    # plus their bits; slot puts the rows back in order after the groups
-    # are laid end to end.
-    groups, slot = [range(len(positions))], None
-    if max(map(len, positions), default=0) > 1:
-        by_count: dict[int, list[int]] = {}
-        for a, ps in enumerate(positions):
-            by_count.setdefault(len(ps), []).append(a)
-        if len(by_count) > 1:
-            groups = list(by_count.values())
-            order = list(chain.from_iterable(groups))
-            slot = _getter(tuple(sorted(range(len(order)), key=order.__getitem__)))
-    # Layer t of a group lists the t-th bit (b, y) of each of its rows, as
-    # a getter of b and the shifts y; in a group of rows with at most one
-    # bit, a missing bit reads the zero appended after s's rows of i.
-    plan = []
-    for rows in groups:
-        layers = zip_longest(*map(positions.__getitem__, rows), fillvalue=width * m)
-        if m > 1:
-            layers = (zip(*map(divmod, ps, repeat(m))) for ps in layers)
-        plan.append((len(rows), [(_getter(bs), ys) for bs, ys in layers] if m > 1 else
-                     [(_getter(ps), ()) for ps in layers]))
-    for i in range(k):
-        block = (*srows[i * width:(i + 1) * width], 0)
-        got = []
-        for size, layers in plan:
-            acc = None
-            for get, ys in layers:
-                vals = get(block) if m <= 1 else map(lshift, get(block), ys)
-                acc = tuple(vals) if acc is None else tuple(map(or_, acc, vals))
-            got.append((0,) * size if acc is None else acc)
-        yield got[0] if slot is None else slot(tuple(chain.from_iterable(got)))
 
 
 def identity(n: int) -> Rel:

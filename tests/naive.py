@@ -93,6 +93,14 @@ def frobenius_routes(n: int, triples):
     return fiber, left, right
 
 
+def frobenius_sets_at(n: int, triples, i: int, j: int) -> tuple:
+    """The fiber, split-left and split-right at the input pair (i, j), each
+    as a set of pairs (x, y)."""
+    p = i * n + j
+    return tuple(frozenset(divmod(t, n) for s, t in route if s == p)
+                 for route in frobenius_routes(n, triples))
+
+
 def search(n: int, commutative: bool = True, budget: int | None = None):
     """A cell-by-cell table search, with every prune rule recomputed by rescanning.
 

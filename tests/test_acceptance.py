@@ -7,13 +7,14 @@ import itertools
 import time
 from contextlib import contextmanager
 
+import naive
 from relfrob import (BUILTIN_NONABELIAN, Rel, SearchConfig, brute_force_search,
                      build_biproduct, build_group_structure, check_duality,
                      classical_elements, comonoid_subobjects, decompose,
                      enumerate_classical_structures, enumerate_special_frobenius,
-                     frobenius_sets_at, identity, is_partial_bijection,
-                     parse_structure_spec, quantum_structure, quotient_by_iso,
-                     represent, star, verify_structure)
+                     identity, is_partial_bijection, parse_structure_spec,
+                     quantum_structure, quotient_by_iso, represent, star,
+                     verify_structure)
 from conftest import candidate
 from test_classify import reference_classical_count
 
@@ -194,6 +195,6 @@ def test_criterion_10_negative_control_max_monoid():
         # the recorded witness itself is the first violation, (0,1)
         assert (1, 1) in report.frobenius.violations
         assert (report.frobenius.witness.i, report.frobenius.witness.j) == (0, 1)
-        sets = frobenius_sets_at(c, 1, 1)
-        assert sets.fiber == frozenset({(0, 1), (1, 0), (1, 1)})
-        assert sets.split_left == frozenset({(0, 1), (1, 1)})
+        fiber, split_left, _ = naive.frobenius_sets_at(2, c.triples(), 1, 1)
+        assert fiber == frozenset({(0, 1), (1, 0), (1, 1)})
+        assert split_left == frozenset({(0, 1), (1, 1)})

@@ -302,7 +302,7 @@ def test_noncommutative_search_at_the_search_bound():
 # nodes the full search explores: one per skeleton and one per cell value tried
 SEARCH_NODES = {(0, True): 1, (0, False): 1, (1, True): 1, (1, False): 1,
                 (2, True): 7, (2, False): 7, (3, True): 58, (3, False): 73,
-                (4, True): 561, (4, False): 893, (5, True): 5096, (5, False): 9526}
+                (4, True): 577, (4, False): 909, (5, True): 5476, (5, False): 10006}
 
 
 @pytest.mark.parametrize("commutative,nodes", [(c, SEARCH_NODES[4, c]) for c in (True, False)])

@@ -124,12 +124,10 @@ def test_swap_naturality(r, s):
 
 @given(dims, dims, dims, dims, st.data())
 def test_whiskers_are_tensor_then_compose(a, b, c, k, data):
-    # the plain forms (r ⊗ id_k) >> s and (id_k ⊗ r) >> s
+    # the plain form (r ⊗ id_k) >> s
     r = data.draw(rel_between(a, b))
     s = data.draw(rel_between(b * k, c))
     assert r.whisker_right(k, s) == r.tensor(identity(k)) >> s
-    s = data.draw(rel_between(k * b, c))
-    assert r.whisker_left(k, s) == identity(k).tensor(r) >> s
 
 
 def partial_function_between(dom: int, cod: int) -> st.SearchStrategy[Rel]:
@@ -150,7 +148,6 @@ def test_whiskers_with_outer_identity_match_reference(a, b, c, k, m, data):
     s = data.draw(any_rel_between(b * k, c))
     want = r.tensor(identity(k)) >> identity(m).tensor(s)
     assert r.whisker_right(k, s, m) == want
-    assert list(r.whisker_right_rows(k, s, m)) == list(want.rows)
     # one block of k rows per row of r
     assert list(r.whisker_right_blocks(k, s, m)) == [
         want.rows[x * k:(x + 1) * k] for x in range(a if k else 0)]
@@ -158,44 +155,21 @@ def test_whiskers_with_outer_identity_match_reference(a, b, c, k, m, data):
         naive.tensor(r.pairs(), (a, m * b), naive.identity_pairs(k), (k, k)),
         naive.tensor(naive.identity_pairs(m), (m, m), s.pairs(), (b * k, c)))
 
-    r = data.draw(any_rel_between(a, b * m))
-    s = data.draw(any_rel_between(k * b, c))
-    want = identity(k).tensor(r) >> s.tensor(identity(m))
-    assert r.whisker_left(k, s, m) == want
-    assert list(r.whisker_left_rows(k, s, m)) == list(want.rows)
-    # one block of a rows per i < k
-    assert list(r.whisker_left_blocks(k, s, m)) == [
-        want.rows[i * a:(i + 1) * a] for i in range(k)]
-    assert want.pairs() == naive.compose(
-        naive.tensor(naive.identity_pairs(k), (k, k), r.pairs(), (a, b * m)),
-        naive.tensor(s.pairs(), (k * b, c), naive.identity_pairs(m), (m, m)))
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_left_whisker_puts_rows_of_mixed_bit_counts_back_in_order(m):
-    # the left kernel reads rows grouped by bit count; rows with 2, 0, 1, 2
-    # and 3 bits make three groups that are not in row order
-    b, k = 3, 2
-    r = Rel(5, b * m, [0b101, 0, 0b10, 0b11, 0b111])
-    s = Rel.from_pairs(k * b, 4, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 3), (5, 2)])
-    want = naive.compose(naive.tensor(naive.identity_pairs(k), (k, k), r.pairs(), (5, b * m)),
-                         naive.tensor(s.pairs(), (k * b, 4), naive.identity_pairs(m), (m, m)))
-    assert r.whisker_left(k, s, m).pairs() == want
-
 
 def test_whiskers_by_nothing_have_no_rows():
     # k = 0 and m = 0: r's codomain need not split into m blocks
     r, s = Rel(1, 3, [0b101]), Rel(0, 2, [])
     for m in (0, 1, 3):
         assert r.whisker_right(0, s, m) == r.tensor(identity(0)) >> identity(m).tensor(s)
-        assert r.whisker_left(0, s, m) == identity(0).tensor(r) >> s.tensor(identity(m))
 
 
 def test_whisker_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="whisker mismatch"):
         identity(2).whisker_right(2, identity(3))
     with pytest.raises(ValueError, match="whisker mismatch"):
-        identity(2).whisker_left_rows(2, identity(4), m=3)
+        identity(2).whisker_right(2, identity(4), m=3)
+    with pytest.raises(ValueError, match="whisker mismatch"):
+        identity(2).whisker_right(3, identity(2), m=3)  # 2 points are not 3 blocks
     with pytest.raises(ValueError, match="whisker mismatch"):
         identity(2).whisker_right(-1, identity(0))
 
