@@ -4,13 +4,14 @@ The copyable subsets of a structure (its classical elements) are found by
 plain brute force over all subsets rather than by trusting any theorem.
 The comonoid subobjects are built from the same scan: a comonoid map splits
 row by row into copyable rows meeting the unit subset, so they are the
-monic m-tuples of classical elements.  ``decompose`` recovers the block
-partition from the unit subset and checks that the blocks really are
-groups, raising ``DecompositionError`` when they are not.  Every candidate
-is run through the axiom checker first (once: the report is cached on the
-candidate).  The duality, representation and dual-subset composites are
-right whiskers (``Rel.whisker_right``), like every tensor; the left
-triangle of the duality and the dual subset are read off their converses.
+monic m-tuples of classical elements.  ``decompose`` reads the block
+partition and each block's table off nabla's rows, the block of a unit e
+from its rows e*x, and checks that the blocks really are groups, raising
+``DecompositionError`` when they are not.  Every candidate is run through
+the axiom checker first (once: the report is cached on the candidate).
+The duality, representation and dual-subset composites are right whiskers
+(``Rel.whisker_right``), like every tensor; the left triangle of the
+duality and the dual subset are read off their converses.
 """
 
 from __future__ import annotations
@@ -165,47 +166,47 @@ def decompose(c: FrobeniusCandidate) -> DecompositionResult:
     multiplication must be a total group operation, else DecompositionError.
     """
     _require(c, commutative=False, what="decompose")
-    n = c.n
-    seen: set[int] = set()
+    n, rows = c.n, c.nabla.rows
+    block = [-1] * n  # block[x]: the position of x's block in ``blocks``
     blocks = []
     for e in sorted(c.bot):
-        action = represent(c, frozenset({e}))
-        members = sorted(x for x in range(n) if action.row(x) == 1 << x)
+        # e acts as identity on x when row e*x of nabla is exactly x
+        members = [x for x in range(n) if rows[e * n + x] == 1 << x]
         _expect(members, f"unit {e} spans no block")
         _expect(e in members, f"unit {e} outside its own block")
-        _expect(not seen & set(members), f"block of unit {e} overlaps an earlier block")
-        seen.update(members)
-        blocks.append((e, members))
-    _expect(seen == set(range(n)), "blocks do not cover the carrier")
+        _expect(all(block[x] < 0 for x in members), f"block of unit {e} overlaps an earlier block")
+        for x in members:
+            block[x] = len(blocks)
+        blocks.append(members)
+    _expect(-1 not in block, "blocks do not cover the carrier")
 
-    out = []
-    spec_blocks = []
-    for e, members in blocks:
+    tables = []
+    for members in blocks:
         index = {x: k for k, x in enumerate(members)}
         table = []
         for x in members:
             row = []
             for y in members:
-                vals = c.product(x, y)
-                _expect(len(vals) == 1, f"product {x}*{y} not single-valued in block")
-                (z,) = vals
+                vals = rows[x * n + y]
+                _expect(vals and not vals & (vals - 1),
+                        f"product {x}*{y} not single-valued in block")
+                z = vals.bit_length() - 1
                 _expect(z in index, f"product {x}*{y} leaves its block")
                 row.append(index[z])
             table.append(tuple(row))
-        for x in members:
-            for y in range(n):
-                if y not in index:
-                    _expect(not c.product(x, y), f"cross-block product {x}*{y} defined")
-                    _expect(not c.product(y, x), f"cross-block product {y}*{x} defined")
-        table = tuple(table)
-        group: AbelianGroupSpec | GroupSpec
+        tables.append(tuple(table))
+    for p in itertools.compress(itertools.count(), rows):  # the defined cells
+        x, y = divmod(p, n)
+        _expect(block[x] == block[y], f"cross-block product {x}*{y} defined")
+
+    groups: list[AbelianGroupSpec | GroupSpec] = []
+    for table in tables:
         if _is_commutative(table):
-            group = AbelianGroupSpec(_invariant_factors(table))
+            groups.append(AbelianGroupSpec(_invariant_factors(table)))
         else:
-            group = identify_group(table)
-        out.append((frozenset(members), group))
-        spec_blocks.append(group)
-    return DecompositionResult(tuple(out), StructureSpec(tuple(spec_blocks)))
+            groups.append(identify_group(table))
+    return DecompositionResult(tuple(zip(map(frozenset, blocks), groups)),
+                               StructureSpec(tuple(groups)))
 
 
 def _expect(ok: object, message: str) -> None:

@@ -19,6 +19,7 @@ from itertools import (chain, combinations, combinations_with_replacement, permu
 from .frobenius import FrobeniusCandidate, satisfies_axioms
 from .groups import (AbelianGroupSpec, StructureSpec, enumerate_abelian_groups,
                      nonabelian_groups_of_order, partitions)
+from .rel import Rel
 
 SEARCH_CARRIER_LIMIT = 6
 QUOTIENT_CARRIER_LIMIT = 6
@@ -29,7 +30,7 @@ _EMPTY = -1  # a cell with no product: undefined, or not decided yet
 
 
 def _structures_from_choices(n: int, choices_per_order) -> list[StructureSpec]:
-    specs = set()
+    specs = []
     choices = {m: choices_per_order(m) for m in range(1, n + 1)}
     for part in partitions(n):
         sizes: dict[int, int] = {}
@@ -40,7 +41,7 @@ def _structures_from_choices(n: int, choices_per_order) -> list[StructureSpec]:
             per_size.append(list(combinations_with_replacement(choices[m], count)))
         for combo in product(*per_size):
             blocks = tuple(b for group in combo for b in group)
-            specs.add(StructureSpec(blocks))
+            specs.append(StructureSpec(blocks))
     return sorted(specs, key=StructureSpec.sort_key)
 
 
@@ -177,9 +178,8 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
 
     def fill(cells: list, k: int, bot: tuple[int, ...]):
         if k == len(cells):
-            triples = [(x, y, z) for x, row in enumerate(table) for y, z in enumerate(row)
-                       if z >= 0]
-            cand = FrobeniusCandidate.from_triples(n, triples, bot)
+            rows = [1 << z if z >= 0 else 0 for row in table for z in row]
+            cand = FrobeniusCandidate(n, Rel(n * n, n, rows), bot)
             if satisfies_axioms(cand, commutative):
                 found.append(cand)
             return

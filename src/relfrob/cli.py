@@ -259,7 +259,7 @@ def main(argv=None) -> int:
     except (PreconditionError, DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "machine" and payload is not None:

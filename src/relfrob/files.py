@@ -13,12 +13,16 @@ One datum per line so files diff cleanly:
 line is one triple (x, y, z) meaning z is a value of x*y; there may be at
 most ``CARRIER_LIMIT ** 2`` of them (a full single-valued table at the cap),
 and duplicate triples and duplicate unit elements are rejected.  Parse
-errors carry the offending line number.
+errors carry the offending line number.  Each triple sets bit z of
+nabla's row x*n + y directly, so a duplicate is a bit already set; the
+rows are filled once ``n`` is known, which may come after the ``nabla``
+lines.
 """
 
 from __future__ import annotations
 
 from .frobenius import CARRIER_LIMIT, FrobeniusCandidate
+from .rel import Rel
 
 
 class StructureParseError(ValueError):
@@ -31,10 +35,8 @@ class StructureParseError(ValueError):
 
 def parse_structure(text: str) -> FrobeniusCandidate:
     n: int | None = None
-    triples: list[tuple[int, int, int]] = []
-    triple_lines: list[int] = []
-    bot: list[int] = []
-    bot_lines: list[int] = []
+    triples: list[tuple[int, int, int, int]] = []  # (line, x, y, z)
+    units: list[tuple[int, int]] = []  # (line, e)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -60,32 +62,29 @@ def parse_structure(text: str) -> FrobeniusCandidate:
             if len(triples) == CARRIER_LIMIT ** 2:
                 raise StructureParseError(
                     lineno, f"more than {CARRIER_LIMIT ** 2} nabla lines")
-            triples.append((values[0], values[1], values[2]))
-            triple_lines.append(lineno)
+            triples.append((lineno, *values))
         elif field == "bot":
-            for v in values:
-                bot.append(v)
-                bot_lines.append(lineno)
+            units.extend((lineno, e) for e in values)
         else:
             raise StructureParseError(lineno, f"unknown field {field!r}")
 
     if n is None:
         raise StructureParseError(0, "missing n line")
-    seen_triples: set[tuple[int, int, int]] = set()
-    for (x, y, z), lineno in zip(triples, triple_lines):
+    rows = [0] * (n * n)
+    for lineno, x, y, z in triples:
         if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
             raise StructureParseError(lineno, f"triple ({x}, {y}, {z}) outside carrier 0..{n - 1}")
-        if (x, y, z) in seen_triples:
+        if rows[x * n + y] >> z & 1:
             raise StructureParseError(lineno, f"duplicate triple ({x}, {y}, {z})")
-        seen_triples.add((x, y, z))
-    seen_bot: set[int] = set()
-    for e, lineno in zip(bot, bot_lines):
+        rows[x * n + y] |= 1 << z
+    bot: set[int] = set()
+    for lineno, e in units:
         if not 0 <= e < n:
             raise StructureParseError(lineno, f"unit element {e} outside carrier 0..{n - 1}")
-        if e in seen_bot:
+        if e in bot:
             raise StructureParseError(lineno, f"duplicate unit element {e}")
-        seen_bot.add(e)
-    return FrobeniusCandidate.from_triples(n, triples, seen_bot)
+        bot.add(e)
+    return FrobeniusCandidate(n, Rel(n * n, n, rows), bot)
 
 
 def render_structure(c: FrobeniusCandidate) -> str:

@@ -30,7 +30,8 @@ searched for its differing rows, which give the witness.
 the candidate; ``satisfies_axioms`` stops at the first block that differs
 and never runs the pointwise route.  The pointwise route works from dicts
 of products indexed by value, with each pair (x, y) coded as x·n + y, and
-shares no code with the bit rows.
+shares no code with the bit rows; its witness decodes the three code sets
+of the first violating pair, in code order.
 """
 
 from __future__ import annotations
@@ -345,18 +346,6 @@ def _sets_at(index: tuple, i: int, j: int) -> tuple[frozenset, set, set]:
     return fiber, split_left, split_right
 
 
-def _witness(index: tuple, i: int, j: int) -> FroWitness:
-    # The witness holds sets of pairs (x, y).  Each is built from fibers
-    # whose pairs were added in code order, so its layout, and so a
-    # report's pickle, does not depend on the code sets of the check.
-    n, rows, cols, _, pairs = index
-    ri, cj = rows[i], cols[j]
-    fiber_i, fiber_j, fiber = (frozenset(set(pairs[z])) for z in (i, j, ri[j] // n if j in ri else n))
-    return FroWitness(i, j, fiber,
-                      frozenset({(x, cj[yp]) for x, yp in fiber_i if yp in cj}),
-                      frozenset({(ri[xp] // n, y) for xp, y in fiber_j if xp in ri}))
-
-
 def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
     """Interchange law evaluated pointwise on the partial operation.
 
@@ -374,4 +363,6 @@ def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
                 violations.append((i, j))
     if not violations:
         return Verdict(True)
-    return Verdict(False, _witness(index, *violations[0]), tuple(violations))
+    i, j = violations[0]
+    sets = (frozenset(divmod(p, n) for p in sorted(codes)) for codes in _sets_at(index, i, j))
+    return Verdict(False, FroWitness(i, j, *sets), tuple(violations))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -211,6 +212,31 @@ def test_decompose_raises_on_the_pair_groupoid():
     assert verify_structure(groupoid).is_special_frobenius
     with pytest.raises(DecompositionError, match="not single-valued in block"):
         decompose(groupoid)
+
+
+# one fault per table, each reaching one DecompositionError check: (n,
+# triples, units, message)
+_DECOMPOSE_FAULTS = [
+    (1, [], [0], "unit 0 spans no block"),
+    (2, [(0, 1, 1)], [0], "unit 0 outside its own block"),
+    (2, [(0, 0, 0), (1, 0, 0), (1, 1, 1)], [0, 1], "block of unit 1 overlaps an earlier block"),
+    (2, [(0, 0, 0)], [0], "blocks do not cover the carrier"),
+    (2, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)], [0],
+     "product 1*1 not single-valued in block"),
+    (3, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 2), (2, 2, 2)], [0, 2],
+     "product 1*1 leaves its block"),
+    (2, [(0, 0, 0), (0, 1, 0), (1, 1, 1)], [0, 1], "cross-block product 0*1 defined"),
+    (2, [(0, 0, 0), (1, 0, 1), (1, 1, 1)], [0, 1], "cross-block product 1*0 defined"),
+]
+
+
+@pytest.mark.parametrize("n,triples,units,message", _DECOMPOSE_FAULTS)
+def test_decompose_names_each_fault(monkeypatch, n, triples, units, message):
+    # the tables fail the axioms, so the precondition is lifted to reach
+    # decompose's own checks
+    monkeypatch.setattr(relfrob.analysis, "_require", lambda *args, **kwargs: None)
+    with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
+        decompose(FrobeniusCandidate.from_triples(n, triples, units))
 
 
 def test_decompose_block_layout():

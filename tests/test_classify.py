@@ -74,10 +74,15 @@ def test_classical_counts_match_formula(n):
 
 
 def test_classical_enumeration_is_sorted_and_duplicate_free():
-    specs = enumerate_classical_structures(7)
-    assert len(set(specs)) == len(specs)
-    assert [s.sort_key() for s in specs] == sorted(s.sort_key() for s in specs)
-    assert all(s.n == 7 and s.is_abelian for s in specs)
+    for enumerate_specs, n in ((enumerate_classical_structures, 7),
+                               (enumerate_classical_structures, 12),
+                               (enumerate_special_frobenius, 8)):
+        specs = enumerate_specs(n)
+        assert len(set(specs)) == len(specs)
+        assert [s.sort_key() for s in specs] == sorted(s.sort_key() for s in specs)
+        assert all(s.n == n for s in specs)
+        if enumerate_specs is enumerate_classical_structures:
+            assert all(s.is_abelian for s in specs)
 
 
 @pytest.mark.parametrize("n,count", [(5, 8), (6, 14), (7, 19), (8, 34)])

@@ -94,6 +94,18 @@ def test_verify_missing_file(capsys):
     assert "error" in err
 
 
+def test_verify_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_build_into_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "build", "--groups", "2", "-o", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_build_to_stdout_and_verify_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "build", "--groups", "2;3")
     assert code == 0
