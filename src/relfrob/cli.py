@@ -6,6 +6,8 @@ returns its exit code, one payload dict and the human lines rendered from
 it; ``main`` prints the lines, or under ``--format machine`` the payload as
 one JSON document with sorted keys, so output is byte-stable across runs.
 ``build`` has no payload and writes the structure file in both formats.
+``main`` may be called repeatedly in one process: the parser is built on
+the first call and cached, since ``parse_args`` does not change it.
 
 Exit codes: 0 success; 1 axiom failure, cross-validation mismatch, exhausted
 search budget, or a structure that does not decompose into groups; 2 usage,
@@ -15,6 +17,7 @@ parse, or bound errors, including a carrier above ``CARRIER_LIMIT``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -180,6 +183,7 @@ def cmd_cross_validate(args) -> Result:
     return (0 if result.ok else 1), payload, lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "machine"), default="human",
@@ -249,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.fn(args)
     except BudgetExceededError as exc:

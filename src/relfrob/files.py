@@ -16,7 +16,8 @@ and duplicate triples and duplicate unit elements are rejected.  Parse
 errors carry the offending line number.  Each triple sets bit z of
 nabla's row x*n + y directly, so a duplicate is a bit already set; the
 rows are filled once ``n`` is known, which may come after the ``nabla``
-lines.
+lines.  Each ``bot`` line is kept as one list of its values, and the units
+are checked after the triples, value by value in line order.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class StructureParseError(ValueError):
 def parse_structure(text: str) -> FrobeniusCandidate:
     n: int | None = None
     triples: list[tuple[int, int, int, int]] = []  # (line, x, y, z)
-    units: list[tuple[int, int]] = []  # (line, e)
+    units: list[tuple[int, list[int]]] = []  # (line, values of one bot line)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -64,7 +65,7 @@ def parse_structure(text: str) -> FrobeniusCandidate:
                     lineno, f"more than {CARRIER_LIMIT ** 2} nabla lines")
             triples.append((lineno, *values))
         elif field == "bot":
-            units.extend((lineno, e) for e in values)
+            units.append((lineno, values))
         else:
             raise StructureParseError(lineno, f"unknown field {field!r}")
 
@@ -78,12 +79,13 @@ def parse_structure(text: str) -> FrobeniusCandidate:
             raise StructureParseError(lineno, f"duplicate triple ({x}, {y}, {z})")
         rows[x * n + y] |= 1 << z
     bot: set[int] = set()
-    for lineno, e in units:
-        if not 0 <= e < n:
-            raise StructureParseError(lineno, f"unit element {e} outside carrier 0..{n - 1}")
-        if e in bot:
-            raise StructureParseError(lineno, f"duplicate unit element {e}")
-        bot.add(e)
+    for lineno, values in units:
+        for e in values:
+            if not 0 <= e < n:
+                raise StructureParseError(lineno, f"unit element {e} outside carrier 0..{n - 1}")
+            if e in bot:
+                raise StructureParseError(lineno, f"duplicate unit element {e}")
+            bot.add(e)
     return FrobeniusCandidate(n, Rel(n * n, n, rows), bot)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import relfrob
 import relfrob.classify
+import relfrob.cli
 import relfrob.groups
 from relfrob import (BUILTIN_NONABELIAN, FrobeniusCandidate, build_group_structure,
                      save_structure)
@@ -336,3 +338,36 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_main_reuses_one_parser_with_fresh_parser_output(z2_file, capsys, monkeypatch):
+    # usage error, help twice and both formats, all in one process
+    argvs = [["frobnicate"], ["--help"], ["--help"],
+             ["verify", z2_file], ["verify", z2_file, "--format", "machine"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    reused = [outcome(argvs[0])]
+    del built[:]
+    reused += [outcome(argv) for argv in argvs[1:]]
+    assert built == [], "a second main() built a parser"
+
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0]
+    assert reused[0][2].startswith("usage: relfrob") and reused[1] == reused[2]
+    monkeypatch.setattr(relfrob.cli, "build_parser", relfrob.cli.build_parser.__wrapped__)
+    assert [outcome(argv) for argv in argvs] == reused
+    assert built, "the uncached builder made no parser"

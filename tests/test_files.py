@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -104,3 +106,27 @@ def test_nabla_line_cap_is_inclusive():
     text = f"n {n}\n" + "".join(f"nabla {x} {y} {(x + y) % n}\n"
                                  for x in range(n) for y in range(n))
     assert len(parse_structure(text).triples()) == n * n
+
+
+LONG_LINE = " ".join(["0"] * 100_000)
+
+
+@pytest.mark.parametrize("text,line,fragment", [
+    (f"n {LONG_LINE}\n", 1, "one non-negative"),
+    (f"bot {LONG_LINE}\nn 2\n", 1, "duplicate unit"),
+    (f"n 2\nbot {LONG_LINE}\n", 2, "duplicate unit"),
+    (f"n 2\nnabla {LONG_LINE}\n", 2, "three integers"),
+    (f"n 2\nwat {LONG_LINE}\n", 2, "unknown field"),
+], ids=["n", "bot-before-n", "bot-after-n", "nabla", "unknown"])
+def test_one_long_line_parses_in_memory_proportional_to_it(text, line, fragment):
+    # a bot line is held as one list of its values, like every other line,
+    # not as one (line, value) tuple per value
+    tracemalloc.start()
+    try:
+        with pytest.raises(StructureParseError) as info:
+            parse_structure(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.line == line and fragment in str(info.value)
+    assert peak <= 12 * len(text) + 2 ** 20, f"peak {peak} B for a {len(text)} B text"
