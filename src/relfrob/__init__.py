@@ -18,27 +18,21 @@ from .files import (StructureParseError, load_structure, parse_structure,
 from .frobenius import (AxiomReport, FrobeniusCandidate, FroWitness, Verdict,
                         check_fro_pointwise, satisfies_axioms, verify_structure)
 from .groups import (BUILTIN_NONABELIAN, AbelianGroupSpec, GroupSpec, StructureSpec,
-                     abelian_table, build_biproduct, build_group_structure,
-                     element_orders, enumerate_abelian_groups, identify_group,
-                     invariant_factors_of_table, normalize_invariant_factors,
-                     parse_structure_spec, partitions)
+                     abelian_table, build_biproduct, element_orders,
+                     enumerate_abelian_groups, identify_group,
+                     normalize_invariant_factors, parse_structure_spec, partitions)
 from .rel import Rel, bits, identity, vector
 
 __all__ = [
-    "AbelianGroupSpec", "AxiomReport", "BUILTIN_NONABELIAN", "BudgetExceededError",
-    "CrossValidation", "DecompositionError", "DecompositionResult", "FroWitness",
-    "FrobeniusCandidate",
-    "GroupSpec", "PreconditionError", "QuantumStructure", "Rel", "SearchConfig",
-    "StructureParseError", "StructureSpec", "Verdict", "abelian_table",
-    "bits", "build_biproduct", "build_group_structure",
-    "check_duality",
-    "check_fro_pointwise", "classical_elements", "comonoid_subobjects",
-    "cross_validate", "decompose", "element_orders", "enumerate_abelian_groups",
-    "enumerate_classical_structures", "enumerate_special_frobenius",
-    "identity", "identify_group", "invariant_factors_of_table",
-    "is_partial_bijection", "load_structure", "normalize_invariant_factors",
-    "parse_structure", "parse_structure_spec", "partitions", "quantum_structure",
-    "quotient_by_iso", "render_structure", "represent", "satisfies_axioms",
-    "save_structure", "star",
-    "vector", "verify_structure", "brute_force_search",
+    "abelian_table", "AbelianGroupSpec", "AxiomReport", "bits", "brute_force_search",
+    "BudgetExceededError", "build_biproduct", "BUILTIN_NONABELIAN", "check_duality",
+    "check_fro_pointwise", "classical_elements", "comonoid_subobjects", "cross_validate",
+    "CrossValidation", "decompose", "DecompositionError", "DecompositionResult",
+    "element_orders", "enumerate_abelian_groups", "enumerate_classical_structures",
+    "enumerate_special_frobenius", "FrobeniusCandidate", "FroWitness", "GroupSpec",
+    "identify_group", "identity", "is_partial_bijection", "load_structure",
+    "normalize_invariant_factors", "parse_structure", "parse_structure_spec", "partitions",
+    "PreconditionError", "quantum_structure", "QuantumStructure", "quotient_by_iso", "Rel",
+    "render_structure", "represent", "satisfies_axioms", "save_structure", "SearchConfig",
+    "star", "StructureParseError", "StructureSpec", "vector", "Verdict", "verify_structure",
 ]

@@ -9,9 +9,10 @@ partition and each block's table off nabla's rows, the block of a unit e
 from its rows e*x, and checks that the blocks really are groups, raising
 ``DecompositionError`` when they are not.  Every candidate is run through
 the axiom checker first (once: the report is cached on the candidate).
-The duality, representation and dual-subset composites are right whiskers
-(``Rel.whisker_right``), like every tensor; the left triangle of the
-duality and the dual subset are read off their converses.
+The representation is a right whisker (``Rel.whisker_right``), like every
+tensor.  The duality cuts the pairing's one row into an n x n relation P:
+the left triangle is P >> P and the right one its converse.  The dual
+subset is read off nabla's rows and the unit mask.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class QuantumStructure:
 
     n: int
     eta: Rel
-
-    @property
-    def epsilon(self) -> Rel:
-        return self.eta.converse()
 
     def eta_pairs(self) -> tuple[tuple[int, int], ...]:
         n = self.n
@@ -94,7 +91,7 @@ def _classical_masks(c: FrobeniusCandidate) -> list[int]:
     n = c.n
     # fiber[z]: the pairs multiplying to z, as one n*n-bit mask
     fibers = c.delta.rows
-    bot_mask = c.bot_vec.row(0)
+    bot_mask = c.bot_vec.rows[0]
     out = []
     for phi in range(1, 1 << n):
         copied = 0
@@ -120,16 +117,19 @@ def quantum_structure(c: FrobeniusCandidate) -> QuantumStructure:
 def check_duality(q: QuantumStructure) -> Verdict:
     """Both triangle identities for the pairing; witnessed on failure.
 
-    The witness is (side, x, got-set) for the first row differing from the
-    identity, sides scanned left then right.
+    eta's row, cut into n rows of n bits, is the relation P pairing a with
+    b.  The left triangle is P >> P and the right one its converse, so the
+    witness is ("left", x, got-set) for the first row of P >> P that is not
+    x's own.  Raises ValueError unless eta is 1 x n*n.
     """
-    n = q.n
-    right = q.eta.whisker_right(n, q.epsilon, n)  # (eta ⊗ id) >> (id ⊗ epsilon)
-    left = right.converse()  # (id ⊗ eta) >> (epsilon ⊗ id), as epsilon = eta converse
-    for side, composite in (("left", left), ("right", right)):
-        for x in range(n):
-            if composite.row(x) != 1 << x:
-                return Verdict(False, (side, x, frozenset(bits(composite.row(x)))))
+    n, eta = q.n, q.eta
+    if (eta.dom, eta.cod) != (1, n * n):
+        raise ValueError(f"pairing must be 1x{n * n}, got {eta.dom}x{eta.cod}")
+    full = (1 << n) - 1
+    pairing = Rel(n, n, (eta.rows[0] >> (a * n) & full for a in range(n)))
+    for x, row in enumerate((pairing >> pairing).rows):
+        if row != 1 << x:
+            return Verdict(False, ("left", x, frozenset(bits(row))))
     return Verdict(True)
 
 
@@ -145,16 +145,14 @@ def is_partial_bijection(r: Rel) -> bool:
 
 
 def star(c: FrobeniusCandidate, phi: Iterable[int]) -> frozenset[int]:
-    """The dual subset under the pairing; inversion on group blocks.
-
-    Assumes a verified commutative structure; like ``represent`` this is a
-    formula evaluator and performs no axiom checking of its own.
+    """The dual subset under the pairing: the x with a*x meeting bot for
+    some a in phi, read off nabla's rows; inversion on group blocks.
+    Like ``represent`` it assumes a verified commutative structure and
+    checks no axiom of its own.
     """
-    # eta >> (phi converse ⊗ id) is the converse of (phi ⊗ id) >> epsilon,
-    # with epsilon = eta converse = nabla >> top: x is in it when row x of
-    # the latter is not empty
-    rows = vector(c.n, phi).whisker_right(c.n, c.nabla >> c.top).rows
-    return frozenset(x for x, row in enumerate(rows) if row)
+    n, rows, bot = c.n, c.nabla.rows, c.bot_vec.rows[0]
+    return frozenset(x for a in bits(vector(n, phi).rows[0])
+                     for x in range(n) if rows[a * n + x] & bot)
 
 
 def decompose(c: FrobeniusCandidate) -> DecompositionResult:

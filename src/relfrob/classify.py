@@ -309,10 +309,6 @@ class CrossValidation:
     enumerated: tuple
     message: str
 
-    @property
-    def class_count(self) -> int:
-        return len(self.matches)
-
 
 def cross_validate(n: int, budget: int | None = None) -> CrossValidation:
     """Search, quotient, decompose, and compare against the enumeration.

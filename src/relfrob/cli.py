@@ -27,7 +27,7 @@ from .analysis import (DecompositionError, PreconditionError, check_duality,
 from .classify import (BudgetExceededError, SearchConfig, brute_force_search,
                        cross_validate, enumerate_classical_structures,
                        enumerate_special_frobenius, quotient_by_iso)
-from .files import load_structure, render_structure
+from .files import load_structure, render_structure, save_structure
 from .frobenius import FroWitness, Verdict, verify_structure
 from .groups import build_biproduct, parse_structure_spec
 
@@ -103,12 +103,11 @@ def cmd_verify(args) -> Result:
 
 
 def cmd_build(args) -> Result:
-    text = render_structure(build_biproduct(parse_structure_spec(args.groups)))
+    c = build_biproduct(parse_structure_spec(args.groups))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_structure(args.output, c)
         return 0, None, []
-    return 0, None, text.splitlines()
+    return 0, None, render_structure(c).splitlines()
 
 
 def cmd_enumerate(args) -> Result:

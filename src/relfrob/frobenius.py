@@ -53,7 +53,7 @@ CARRIER_LIMIT = 128
 class FrobeniusCandidate:
     """A multiplication relation and unit subset over carrier {0..n-1}."""
 
-    __slots__ = ("n", "nabla", "bot", "delta", "top", "bot_vec", "_report")
+    __slots__ = ("n", "nabla", "bot", "delta", "bot_vec", "_report")
 
     def __init__(self, n: int, nabla: Rel, bot: Iterable[int]):
         if nabla.dom != n * n or nabla.cod != n:
@@ -64,7 +64,6 @@ class FrobeniusCandidate:
         self.bot = frozenset(bot)
         self.bot_vec = vector(n, self.bot)
         self.delta = nabla.converse()
-        self.top = self.bot_vec.converse()
         self._report: AxiomReport | None = None  # filled by verify_structure
 
     @classmethod
@@ -77,10 +76,6 @@ class FrobeniusCandidate:
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         n = self.n
         return tuple(sorted((p // n, p % n, z) for p, z in self.nabla.pairs()))
-
-    def product(self, x: int, y: int) -> frozenset[int]:
-        """All values of x*y (empty when undefined)."""
-        return frozenset(bits(self.nabla.row(x * self.n + y)))
 
     def is_single_valued(self) -> bool:
         return max(map(int.bit_count, self.nabla.rows), default=0) <= 1

@@ -118,10 +118,6 @@ class GroupSpec:
         return len(self.table)
 
     @property
-    def is_abelian(self) -> bool:
-        return _is_commutative(self.table)
-
-    @property
     def label(self) -> str:
         if self.name:
             return self.name
@@ -269,20 +265,13 @@ def enumerate_abelian_groups(m: int) -> list[AbelianGroupSpec]:
     return sorted(set(specs), key=lambda s: s.invariant_factors)
 
 
-def invariant_factors_of_table(table) -> tuple[int, ...]:
+def _invariant_factors(table) -> tuple[int, ...]:
     """Invariant factors of an abelian Cayley table, from its element orders.
 
     For each prime p the c_k elements of order dividing p^k number
     p^(r_1 + ... + r_k), where r_k cyclic p-factors have order at least
-    p^k; so p^k occurs r_k - r_(k+1) times.  Raises ValueError on a
-    non-abelian table.
+    p^k; so p^k occurs r_k - r_(k+1) times.
     """
-    if not _is_commutative(table):
-        raise ValueError("table is not abelian")
-    return _invariant_factors(table)
-
-
-def _invariant_factors(table) -> tuple[int, ...]:
     orders = element_orders(table)
     prime_powers = []
     for p, e in _factorize(len(table)).items():
@@ -334,10 +323,6 @@ class StructureSpec:
             return "(empty)"
         return " + ".join(b.label for b in self.blocks)
 
-    @property
-    def is_abelian(self) -> bool:
-        return all(isinstance(b, AbelianGroupSpec) or b.is_abelian for b in self.blocks)
-
     def sort_key(self) -> tuple:
         return (self.n, len(self.blocks), tuple(_block_key(b) for b in self.blocks))
 
@@ -351,7 +336,11 @@ def parse_structure_spec(text: str) -> StructureSpec:
     "4;2,2" is a Z4 block next to a Z2xZ2 block; a block may also name a
     built-in non-abelian table, as in "S3;2".  The total order may not
     exceed CARRIER_LIMIT; that is checked before any block is normalized.
+    Each order and the running total are capped at CARRIER_LIMIT + 1, and
+    a block is kept only while the total is within it.
     """
+    cap = CARRIER_LIMIT + 1
+    total = 0
     blocks: list = []  # GroupSpec or a list of cyclic orders, normalized below
     for raw in text.split(";"):
         token = raw.strip()
@@ -362,24 +351,25 @@ def parse_structure_spec(text: str) -> StructureSpec:
             if key not in BUILTIN_NONABELIAN:
                 raise ValueError(
                     f"unknown group name {token!r}; known: {sorted(BUILTIN_NONABELIAN)}")
-            blocks.append(BUILTIN_NONABELIAN[key])
-            continue
-        try:
-            orders = [int(part.strip()) for part in token.split(",")]
-        except ValueError:
-            raise ValueError(f"bad block token {token!r} in group spec {text!r}") from None
-        if any(m < 1 for m in orders):
-            raise ValueError(f"cyclic orders must be at least 1 in block {token!r}")
-        blocks.append(orders)
-    if sum(prod(b) if isinstance(b, list) else b.order for b in blocks) > CARRIER_LIMIT:
+            block = BUILTIN_NONABELIAN[key]
+            order = block.order
+        else:
+            try:
+                block = [int(part.strip()) for part in token.split(",")]
+            except ValueError:
+                raise ValueError(f"bad block token {token!r} in group spec {text!r}") from None
+            if any(m < 1 for m in block):
+                raise ValueError(f"cyclic orders must be at least 1 in block {token!r}")
+            order = 1
+            for m in block:
+                order = min(order * m, cap)
+        total = min(total + order, cap)
+        if total < cap:
+            blocks.append(block)
+    if total == cap:
         raise ValueError(f"group spec {text!r} has order above {CARRIER_LIMIT}")
     return StructureSpec(tuple(normalize_invariant_factors(b) if isinstance(b, list) else b
                                for b in blocks))
-
-
-def build_group_structure(g) -> FrobeniusCandidate:
-    """The structure of a single group: its multiplication plus its unit."""
-    return build_biproduct(StructureSpec((g,)))
 
 
 def build_biproduct(spec: StructureSpec) -> FrobeniusCandidate:

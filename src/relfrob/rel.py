@@ -81,9 +81,6 @@ class Rel:
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((a, b) for a, row in enumerate(self.rows) for b in bits(row))
 
-    def row(self, a: int) -> int:
-        return self.rows[a]
-
     @property
     def positions(self) -> tuple[tuple[int, ...], ...]:
         """The set bit positions of every row, lowest first: decoded on first
@@ -110,9 +107,9 @@ class Rel:
 
     def converse(self) -> "Rel":
         out = [0] * self.cod
-        for a, row in enumerate(self.rows):
+        for a, ps in enumerate(self.positions):
             bit = 1 << a
-            for b in bits(row):
+            for b in ps:
                 out[b] |= bit
         return Rel._unchecked(self.cod, self.dom, tuple(out))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hypothesis.strategies as st
 import pytest
 
-from relfrob import FrobeniusCandidate, Rel
+from relfrob import FrobeniusCandidate, Rel, bits
 
 MAX_DIM = 4
 
@@ -77,6 +77,11 @@ def relational_tables(draw, max_n: int = 3):
 
 def candidate(n, triples, bot) -> FrobeniusCandidate:
     return FrobeniusCandidate.from_triples(n, triples, bot)
+
+
+def product_of(c: FrobeniusCandidate, x: int, y: int) -> frozenset[int]:
+    """All values of x*y (empty when undefined): nabla's row x*n + y."""
+    return frozenset(bits(c.nabla.rows[x * c.n + y]))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import naive
 from relfrob import (BUILTIN_NONABELIAN, Rel, SearchConfig, brute_force_search,
-                     build_biproduct, build_group_structure, check_duality,
+                     build_biproduct, check_duality,
                      classical_elements, comonoid_subobjects, decompose,
                      enumerate_classical_structures, enumerate_special_frobenius,
                      identity, is_partial_bijection, parse_structure_spec,
@@ -140,7 +140,7 @@ def _comonoid_completions(c) -> list[tuple[Rel, frozenset[int]]]:
     """
     n = c.n
     idn = identity(n)
-    fibers = [c.delta.row(x) for x in range(n)]
+    fibers = [c.delta.rows[x] for x in range(n)]
     solutions = []
     row_choices = []
     for x in range(n):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import re
 
 import hypothesis.strategies as st
@@ -11,11 +12,11 @@ from hypothesis import given
 
 import naive
 import relfrob.analysis
-from conftest import candidate
+from conftest import candidate, product_of
 from relfrob import (AbelianGroupSpec, BUILTIN_NONABELIAN, DecompositionError,
-                     FrobeniusCandidate, PreconditionError,
-                     QuantumStructure, Rel, SearchConfig, brute_force_search,
-                     build_biproduct, build_group_structure, check_duality,
+                     FrobeniusCandidate, PreconditionError, QuantumStructure,
+                     Rel, SearchConfig, StructureSpec, brute_force_search,
+                     build_biproduct, check_duality,
                      classical_elements, comonoid_subobjects, decompose,
                      enumerate_special_frobenius, identity, is_partial_bijection,
                      parse_structure_spec, quantum_structure, represent, star,
@@ -44,7 +45,7 @@ def reference_classical_elements(c) -> list[frozenset[int]]:
     for phi in subsets(c.n):
         vec = vector(c.n, phi)
         copyable = (vec >> c.delta) == vec.tensor(vec)
-        deletable = (vec >> c.top) == identity(1)
+        deletable = (vec >> c.bot_vec.converse()) == identity(1)
         if copyable and deletable:
             out.append(phi)
     return sorted(out, key=sorted)
@@ -59,7 +60,7 @@ def reference_comonoid_subobjects(c, m: int) -> list[Rel]:
     for mask in range(1 << (m * n)):
         r = Rel(m, n, [(mask >> (i * n)) & ((1 << n) - 1) for i in range(m)])
         if (r.is_mono() and r >> c.delta == delta_m >> r.tensor(r)
-                and r >> c.top == top_m):
+                and r >> c.bot_vec.converse() == top_m):
             out.append(r)
     return sorted(out, key=lambda r: sorted(r.pairs()))
 
@@ -110,7 +111,7 @@ def test_self_inverse_group_pairs_like_standard_structure():
 
 
 def test_quantum_structure_requires_classical(max_monoid):
-    s3 = build_group_structure(BUILTIN_NONABELIAN["S3"])
+    s3 = build_biproduct(StructureSpec((BUILTIN_NONABELIAN["S3"],)))
     with pytest.raises(PreconditionError, match="commutativity"):
         quantum_structure(s3)
     with pytest.raises(PreconditionError):
@@ -118,8 +119,9 @@ def test_quantum_structure_requires_classical(max_monoid):
 
 
 def test_epsilon_is_converse_of_eta(z3):
+    # epsilon, eta's converse, is nabla >> top, with top = bot's converse
     q = quantum_structure(z3)
-    assert q.epsilon == q.eta.converse()
+    assert q.eta.converse() == z3.nabla >> z3.bot_vec.converse()
 
 
 def test_duality_holds_for_built_structures():
@@ -138,6 +140,14 @@ def test_duality_fails_for_incomplete_pairing():
     side, x, got = verdict.witness
     assert side in ("left", "right") and x == 1
     assert got == frozenset()
+
+
+@pytest.mark.parametrize("dom,cod", [(1, 3), (1, 8), (2, 4)])
+def test_check_duality_rejects_a_malformed_pairing(dom, cod):
+    # at n = 2 the pairing must be 1 x 4
+    q = QuantumStructure(2, Rel(dom, cod, [0] * dom))
+    with pytest.raises(ValueError, match=f"pairing must be 1x4, got {dom}x{cod}"):
+        check_duality(q)
 
 
 def test_antidiagonal_is_a_valid_duality():
@@ -181,7 +191,7 @@ def test_star_is_elementwise_inverse(z3):
     assert star(z3, {1}) == frozenset({2})
     assert star(z3, {0}) == frozenset({0})
     assert star(z3, {1, 2}) == frozenset({1, 2})
-    s3 = build_group_structure(BUILTIN_NONABELIAN["S3"])
+    s3 = build_biproduct(StructureSpec((BUILTIN_NONABELIAN["S3"],)))
     table = BUILTIN_NONABELIAN["S3"].table
     for g in range(6):
         inverse = next(h for h in range(6) if table[g][h] == 0)
@@ -248,7 +258,7 @@ def test_decompose_block_layout():
 
 def test_decompose_identifies_nonabelian_blocks():
     for name in ("S3", "D4", "Q8"):
-        c = build_group_structure(BUILTIN_NONABELIAN[name])
+        c = build_biproduct(StructureSpec((BUILTIN_NONABELIAN[name],)))
         assert decompose(c).spec.label == name
 
 
@@ -270,7 +280,7 @@ def test_decompose_rejects_non_frobenius(max_monoid):
 
 
 def test_decompose_accepts_noncommutative():
-    c = build_group_structure(BUILTIN_NONABELIAN["Q8"])
+    c = build_biproduct(StructureSpec((BUILTIN_NONABELIAN["Q8"],)))
     assert decompose(c).spec.label == "Q8"
 
 
@@ -278,7 +288,7 @@ def test_decompose_unidentified_block():
     # dihedral group of order 10 is outside the built-in table library
     from test_groups import dihedral_table
     from relfrob import GroupSpec
-    c = build_group_structure(GroupSpec(dihedral_table(5)))
+    c = build_biproduct(StructureSpec((GroupSpec(dihedral_table(5)),)))
     assert decompose(c).spec.label == "unidentified group of order 10"
 
 
@@ -362,7 +372,7 @@ def reference_eta(c):
     # the pairing is a vector on the square carrier: 1 -> n*n
     pairs = set()
     for a, b in itertools.product(range(c.n), repeat=2):
-        if c.product(a, b) & c.bot:
+        if product_of(c, a, b) & c.bot:
             pairs.add((0, a * c.n + b))
     return Rel.from_pairs(1, c.n * c.n, pairs)
 
@@ -410,15 +420,33 @@ def test_check_duality_matches_naive_on_built_pairings():
         assert verdict.ok and (verdict.ok, verdict.witness) == naive_duality(c.n, q.eta.pairs())
 
 
+def naive_star(c, phi) -> set[int]:
+    """eta >> (phi converse ⊗ id), with eta = bot >> delta."""
+    n, idn = c.n, naive.identity_pairs(c.n)
+    eta = naive.compose(c.bot_vec.pairs(), naive.converse(c.nabla.pairs()))
+    vec = frozenset((0, e) for e in phi)
+    dual = naive.compose(eta, naive.tensor(naive.converse(vec), (n, 1), idn, (n, n)))
+    return {b for _, b in dual}
+
+
 def test_represent_and_star_match_naive_composites():
     for _, c in all_structures_up_to(5):
         n = c.n
-        nab = c.nabla.pairs()
         idn = naive.identity_pairs(n)
-        eta = naive.compose(c.bot_vec.pairs(), naive.converse(nab))
         for phi in subsets(n):
             vec = frozenset((0, e) for e in phi)
-            acted = naive.compose(naive.tensor(vec, (1, n), idn, (n, n)), nab)
+            acted = naive.compose(naive.tensor(vec, (1, n), idn, (n, n)), c.nabla.pairs())
             assert represent(c, phi).pairs() == acted
-            dual = naive.compose(eta, naive.tensor(naive.converse(vec), (n, 1), idn, (n, n)))
-            assert star(c, phi) == {b for _, b in dual}
+            assert star(c, phi) == naive_star(c, phi)
+
+
+def test_star_matches_naive_composite_on_random_tables():
+    # seeded multi-valued tables and unit subsets, no axiom assumed
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        triples = [(x, y, z) for x, y, z in itertools.product(range(n), repeat=3)
+                   if rng.random() < 0.2]
+        c = candidate(n, triples, [e for e in range(n) if rng.random() < 0.4])
+        phi = frozenset(e for e in range(n) if rng.random() < 0.5)
+        assert star(c, phi) == naive_star(c, phi)

@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,8 @@ import relfrob
 import relfrob.classify
 import relfrob.cli
 import relfrob.groups
-from relfrob import (BUILTIN_NONABELIAN, FrobeniusCandidate, build_group_structure,
-                     save_structure)
+from relfrob import (BUILTIN_NONABELIAN, FrobeniusCandidate, StructureSpec,
+                     build_biproduct, save_structure)
 from relfrob.classify import ENUM_CARRIER_LIMIT
 from relfrob.cli import main
 from relfrob.frobenius import CARRIER_LIMIT
@@ -65,7 +67,7 @@ def test_verify_fails_max_monoid(max_monoid_file, capsys):
 
 def test_verify_noncommutative_structure_fails(tmp_path, capsys):
     path = tmp_path / "s3.rel"
-    save_structure(str(path), build_group_structure(BUILTIN_NONABELIAN["S3"]))
+    save_structure(str(path), build_biproduct(StructureSpec((BUILTIN_NONABELIAN["S3"],))))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert "special Frobenius structure (not commutative)" in out
@@ -280,6 +282,41 @@ def test_enumeration_bound_is_inclusive(capsys, monkeypatch):
     code, out, _ = run(capsys, "enumerate", "--n", str(ENUM_CARRIER_LIMIT))
     assert code == 0
     assert out == f"total: 0 classical structures on {ENUM_CARRIER_LIMIT} points\n"
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (["brute-force", "--n", "7"], None, "carrier size 7 exceeds the exhaustive search bound 6"),
+    (["subobjects", "--m", "25"], "n 1\nbot 0\nnabla 0 0 0\n",
+     "search space 25x1 exceeds 24 bits"),
+    (["elements"], "n 21\n", "carrier size 21 exceeds the subset search limit 20"),
+    (["enumerate", "--n", "33"], None, "carrier size 33 exceeds the enumeration bound 32"),
+    (["cross-validate", "--n", "7"], None, "exceeds the exhaustive search bound 6"),
+    (["brute-force", "--n", "4", "--budget", "-1"], None, "budget -1 is negative"),
+    # argparse rejects more digits than int() converts; where int() takes
+    # them all, the search bound does
+    (["brute-force", "--n", "9" * 5000], None, "--n"),
+])
+def test_integer_arguments_past_their_caps_exit_2_at_once(tmp_path, capsys, argv, text,
+                                                          message):
+    if text is not None:
+        path = tmp_path / "s.rel"
+        path.write_text(text)
+        argv = [argv[0], str(path), *argv[1:]]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and message in captured.err
+    size = sum(map(len, argv)) + len(text or "")
+    assert elapsed < 0.5 and peak <= 25 * size + 2 ** 20, (elapsed, peak)
 
 
 def test_quantum_output_line(tmp_path, capsys):

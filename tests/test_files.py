@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given
 
-from conftest import candidate, relational_tables
+from conftest import candidate, product_of, relational_tables
 from relfrob import (SearchConfig, StructureParseError, brute_force_search,
                      load_structure, parse_structure, render_structure,
                      save_structure)
@@ -25,7 +25,7 @@ nabla 1 0 1
 nabla 1 1 0
 """)
     assert c.n == 2 and c.bot == frozenset({0})
-    assert c.product(1, 1) == frozenset({0})
+    assert product_of(c, 1, 1) == frozenset({0})
 
 
 def test_parse_accepts_any_line_order():

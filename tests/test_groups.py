@@ -5,18 +5,30 @@ from __future__ import annotations
 import doctest
 import itertools
 import math
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import relfrob.groups
+from conftest import product_of
 from relfrob import (AbelianGroupSpec, BUILTIN_NONABELIAN, GroupSpec,
                      StructureSpec, abelian_table, build_biproduct,
-                     build_group_structure, element_orders,
-                     enumerate_abelian_groups, identify_group,
-                     invariant_factors_of_table, normalize_invariant_factors,
-                     parse_structure_spec, verify_structure)
+                     element_orders, enumerate_abelian_groups, identify_group,
+                     normalize_invariant_factors, parse_structure_spec,
+                     verify_structure)
+from relfrob.frobenius import CARRIER_LIMIT
+from relfrob.groups import _invariant_factors, _is_commutative
+
+
+def invariant_factors_of_table(table) -> tuple[int, ...]:
+    """The package's invariant factors of an abelian table; ValueError when
+    the table is not abelian, where they are undefined."""
+    if not _is_commutative(table):
+        raise ValueError("table is not abelian")
+    return _invariant_factors(table)
 
 
 def count_partitions(m: int) -> int:
@@ -86,7 +98,7 @@ def test_builtin_tables_are_nonabelian_groups():
     assert set(BUILTIN_NONABELIAN) == {"S3", "D4", "Q8"}
     for name, g in BUILTIN_NONABELIAN.items():
         assert g.name == name and g.label == name
-        assert not g.is_abelian
+        assert not _is_commutative(g.table)
         assert g.order == (6 if name == "S3" else 8)
 
 
@@ -98,7 +110,7 @@ def test_builtin_element_orders():
 
 def test_nonabelian_structures_fail_only_commutativity():
     for g in BUILTIN_NONABELIAN.values():
-        rep = verify_structure(build_group_structure(g))
+        rep = verify_structure(build_biproduct(StructureSpec((g,))))
         assert rep.is_special_frobenius
         assert not rep.commutativity.ok
         assert not rep.is_classical
@@ -108,7 +120,7 @@ def test_nonabelian_structures_fail_only_commutativity():
     lambda fs: math.prod(fs) <= 12))
 def test_abelian_structures_are_classical(factors):
     spec = normalize_invariant_factors(factors)
-    rep = verify_structure(build_group_structure(spec))
+    rep = verify_structure(build_biproduct(StructureSpec((spec,))))
     assert rep.is_classical
 
 
@@ -251,12 +263,12 @@ def test_structure_spec_canonical_order_and_label():
     s = parse_structure_spec("3;2;S3;1")
     assert s.label == "Z1 + Z2 + Z3 + S3"
     assert s.n == 12
-    assert not s.is_abelian
+    assert not all(isinstance(b, AbelianGroupSpec) for b in s.blocks)
     assert parse_structure_spec("2;3").label == "Z2 + Z3"
     assert parse_structure_spec("2,2").label == "Z2xZ2"
     assert parse_structure_spec("4,6").label == "Z2xZ12"
     assert parse_structure_spec("s3").label == "S3"
-    assert parse_structure_spec("1").is_abelian
+    assert all(isinstance(b, AbelianGroupSpec) for b in parse_structure_spec("1").blocks)
 
 
 def test_structure_spec_equality_ignores_block_order():
@@ -276,10 +288,39 @@ def test_parse_structure_spec_errors():
         parse_structure_spec("2x3")
 
 
+def test_a_long_spec_fails_in_linear_time():
+    # 80 000 cyclic orders, 400 KB: the order is capped as it is multiplied
+    text = ",".join(["1000"] * 80_000)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"order above {CARRIER_LIMIT}"):
+        parse_structure_spec(text)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("token,sep,label", [("1", ";", None), ("S3", ";", None),
+                                             ("1000", ",", None), ("1", ",", "Z1")])
+def test_a_long_spec_parses_in_memory_proportional_to_it(token, sep, label):
+    # 100 KB of blocks or of one block's cyclic orders; only a product of
+    # ones stays within the carrier cap
+    text = sep.join([token] * (100_000 // (len(token) + 1)))
+    tracemalloc.start()
+    try:
+        try:
+            got = parse_structure_spec(text).label
+        except ValueError as exc:
+            got = None
+            assert f"order above {CARRIER_LIMIT}" in str(exc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == label
+    assert peak <= 25 * len(text) + 2 ** 20, f"peak {peak} B for a {len(text)} B spec"
+
+
 def test_build_group_structure_lookup():
-    z6 = build_group_structure(AbelianGroupSpec((6,)))
+    z6 = build_biproduct(StructureSpec((AbelianGroupSpec((6,)),)))
     assert z6.n == 6 and z6.bot == frozenset({0})
-    assert z6.product(4, 5) == frozenset({3})
+    assert product_of(z6, 4, 5) == frozenset({3})
 
 
 def test_build_biproduct_layout():
@@ -287,9 +328,9 @@ def test_build_biproduct_layout():
     assert c.n == 5
     assert c.bot == frozenset({0, 2})
     # blocks are contiguous: {0,1} then {2,3,4}
-    assert c.product(1, 1) == frozenset({0})
-    assert c.product(3, 4) == frozenset({2})
-    assert c.product(1, 3) == frozenset()
+    assert product_of(c, 1, 1) == frozenset({0})
+    assert product_of(c, 3, 4) == frozenset({2})
+    assert product_of(c, 1, 3) == frozenset()
 
 
 def test_build_biproduct_empty_spec():

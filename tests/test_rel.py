@@ -38,7 +38,7 @@ def test_pairs_round_trip(r):
 def test_row_matches_pairs(r):
     for a in range(r.dom):
         assert {b for x, b in r.pairs() if x == a} == {
-            b for b in range(r.cod) if r.row(a) >> b & 1}
+            b for b in range(r.cod) if r.rows[a] >> b & 1}
 
 
 @given(composable_pairs())
@@ -209,7 +209,7 @@ def test_is_mono_matches_exhaustive_subset_check(r):
     expected = True
     for mask in range(1 << r.dom):
         img = frozenset(b for a in range(r.dom) if mask >> a & 1
-                        for b in range(r.cod) if r.row(a) >> b & 1)
+                        for b in range(r.cod) if r.rows[a] >> b & 1)
         if img in images:
             expected = False
             break
@@ -254,5 +254,5 @@ def test_compose_via_matrix_reference():
     s = Rel.from_pairs(2, 2, [(1, 0)])
     assert (r >> s).pairs() == frozenset({(0, 0), (1, 0)})
     for a, b in itertools.product(range(2), repeat=2):
-        want = any(r.row(a) >> m & 1 and s.row(m) >> b & 1 for m in range(2))
-        assert bool((r >> s).row(a) >> b & 1) == want
+        want = any(r.rows[a] >> m & 1 and s.rows[m] >> b & 1 for m in range(2))
+        assert bool((r >> s).rows[a] >> b & 1) == want
