@@ -22,7 +22,7 @@ are checked after the triples, value by value in line order.
 
 from __future__ import annotations
 
-from .frobenius import CARRIER_LIMIT, FrobeniusCandidate
+from .frobenius import CARRIER_LIMIT, FrobeniusCandidate, quoted
 from .rel import Rel
 
 
@@ -47,7 +47,7 @@ def parse_structure(text: str) -> FrobeniusCandidate:
         try:
             values = [int(tok) for tok in rest]
         except ValueError:
-            raise StructureParseError(lineno, f"non-integer token in {field!r} line")
+            raise StructureParseError(lineno, f"non-integer token in {quoted(field)} line")
         if field == "n":
             if n is not None:
                 raise StructureParseError(lineno, "repeated n line")
@@ -67,7 +67,7 @@ def parse_structure(text: str) -> FrobeniusCandidate:
         elif field == "bot":
             units.append((lineno, values))
         else:
-            raise StructureParseError(lineno, f"unknown field {field!r}")
+            raise StructureParseError(lineno, f"unknown field {quoted(field)}")
 
     if n is None:
         raise StructureParseError(0, "missing n line")

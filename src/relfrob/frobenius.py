@@ -14,7 +14,11 @@ The two verdicts must be structurally identical; a discrepancy indicates a
 bug in one of the routes.  The composite route computes the fiber and one
 split only: the other split is its converse, because delta is nabla's
 converse, and on failure it is read off the rows where the first split
-differs.
+differs.  It first compares the two on n-bit slices of delta's rows
+(``_equal_prefix``): a reading of those rows as small ints, not a second ⊗
+kernel.  The whisker builds split-left only from the first block the
+slices do not show equal, so a passing check on a group or groupoid
+composes neither split.
 
 Each composite is a stream of blocks of bit rows.  No tensor is built: the
 right whisker ``Rel.whisker_right_blocks`` builds (r ⊗ id) >> s straight
@@ -30,24 +34,30 @@ searched for its differing rows, which give the witness.
 the candidate; ``satisfies_axioms`` stops at the first block that differs
 and never runs the pointwise route.  The pointwise route works from dicts
 of products indexed by value, with each pair (x, y) coded as x·n + y, and
-shares no code with the bit rows; its witness decodes the three code sets
-of the first violating pair, in code order.
+shares no code with the bit rows or the slices; where i*j is undefined it
+only tests that both splits are empty.  Its witness decodes the three code
+sets of the first violating pair, in code order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, count, islice
-from operator import ne, or_
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator
 
-from .rel import Rel, bits, identity, vector
+from .rel import Rel, _getter, bits, identity, vector
 
 
 # Largest carrier accepted from structure files and group specs.  Verifying
 # the cyclic group at this size takes a few seconds (README, "Bounds").
 CARRIER_LIMIT = 128
+
+
+def quoted(text: str, limit: int = 40) -> str:
+    """text's repr in an error message: its first ``limit`` characters, if longer its length."""
+    return repr(text[:limit]) + (f"... ({len(text)} characters)" if len(text) > limit else "")
 
 
 class FrobeniusCandidate:
@@ -168,9 +178,8 @@ class AxiomReport:
 # blocks: (index of the block's first row, got block, wanted block), in row
 # order.  Witness shapes are those documented on verify_structure.
 
-def _differing_blocks(got: Iterable[tuple[int, ...]],
-                      want: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple, tuple]]:
-    start = 0
+def _differing_blocks(got: Iterable[tuple[int, ...]], want: Iterable[tuple[int, ...]],
+                      start: int = 0) -> Iterator[tuple[int, tuple, tuple]]:
     for g, w in zip(got, want):
         if g != w:
             yield start, g, w
@@ -221,6 +230,31 @@ def _commutativity(c: FrobeniusCandidate) -> Iterator[tuple]:  # swap >> nabla
     return _differing_blocks(_columns(c), (rows[i * n:(i + 1) * n] for i in range(n)))
 
 
+def _equal_prefix(c: FrobeniusCandidate) -> int:
+    """How many leading blocks of the fiber and split-left the slices show
+    equal, for a single-valued nabla; 0 unless every slice D_z[x] has at
+    most one bit.  Slice x of block a is then, over j, D_{a*j}[x] in the
+    fiber and y'*j in split-left, where D_a[x] = {y'}, or empty where D_a[x]
+    is empty."""
+    n, delta = c.n, c.delta
+    # slices[x][z + 1] = D_z[x] = {y} as y + 1, 0 when empty: a bit length,
+    # like the products', so an undefined product gathers slices[x][0]
+    slices = [[0] * (n + 1) for _ in range(n)]
+    for z, ps in enumerate(delta.positions, 1):
+        for x, y in map(divmod, ps, repeat(n)):
+            if slices[x][z]:  # a second y' with x*y' = z
+                return 0
+            slices[x][z] = y + 1
+    lengths = tuple(map(int.bit_length, c.nabla.rows))
+    table = [(0,) * n] + [lengths[y * n:(y + 1) * n] for y in range(n)]  # [y' + 1]: row y'
+    for a in range(n):  # a block with no factors and no products is empty on both sides
+        if (delta.rows[a] or any(table[a + 1])) and (
+                tuple(map(_getter(table[a + 1]), slices))
+                != _getter(tuple(map(itemgetter(a + 1), slices)))(table)):
+            return a
+    return n
+
+
 def _interchange(c: FrobeniusCandidate) -> Iterator[tuple]:
     """Blocks of the fiber and the split-left wherever the two differ.
 
@@ -229,10 +263,14 @@ def _interchange(c: FrobeniusCandidate) -> Iterator[tuple]:
     fiber nabla >> delta is its own converse.  So once split-left equals the
     fiber, split-right does too, and it is never computed.
     """
-    n, nab, delta = c.n, c.nabla, c.delta
-    fiber = (nab >> delta).rows
-    return _differing_blocks((fiber[a * n:(a + 1) * n] for a in range(n)),
-                             delta.whisker_right_blocks(n, nab, n))
+    n, delta = c.n, c.delta
+    start = _equal_prefix(c) if c.is_single_valued() else 0  # composed from start on
+    if start == n:
+        return iter(())
+    fiber = (c.nabla >> delta).rows
+    rest = delta if start == 0 else Rel(n - start, n * n, delta.rows[start:])
+    return _differing_blocks((fiber[a * n:(a + 1) * n] for a in range(start, n)),
+                             rest.whisker_right_blocks(n, c.nabla, n), start * n)
 
 
 def _first(blocks: Iterator[tuple], witness: Callable[..., tuple]) -> Verdict:
@@ -349,12 +387,20 @@ def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
     exactly: same witness, same violation tuple.
     """
     index = _pointwise_index(c)  # raises, naming the pair, when multi-valued
-    n = c.n
+    n, rows, cols, _, pairs = index
+    # where i*j is undefined the fiber is empty, and split-left is empty
+    # unless some right factor yp of i has yp*j defined; split-right likewise
+    rights = [frozenset(yp for _, yp in ps) for ps in pairs]
+    lefts = [frozenset(xp for xp, _ in ps) for ps in pairs]
     violations = []
-    for i in range(n):
+    for i, ri in enumerate(rows):
         for j in range(n):
-            fiber, split_left, split_right = _sets_at(index, i, j)
-            if not fiber == split_left == split_right:
+            if j in ri:
+                fiber, split_left, split_right = _sets_at(index, i, j)
+                ok = fiber == split_left == split_right
+            else:
+                ok = rights[i].isdisjoint(cols[j]) and lefts[j].isdisjoint(ri)
+            if not ok:
                 violations.append((i, j))
     if not violations:
         return Verdict(True)

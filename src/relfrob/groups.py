@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import prod
 
-from .frobenius import CARRIER_LIMIT, FrobeniusCandidate
+from .frobenius import CARRIER_LIMIT, FrobeniusCandidate, quoted
 from .rel import Rel
 
 
@@ -345,21 +345,22 @@ def parse_structure_spec(text: str) -> StructureSpec:
     for raw in text.split(";"):
         token = raw.strip()
         if not token:
-            raise ValueError(f"empty block in group spec {text!r}")
+            raise ValueError(f"empty block in group spec {quoted(text)}")
         if _NAME_TOKEN.match(token):
             key = token.upper()
             if key not in BUILTIN_NONABELIAN:
                 raise ValueError(
-                    f"unknown group name {token!r}; known: {sorted(BUILTIN_NONABELIAN)}")
+                    f"unknown group name {quoted(token)}; known: {sorted(BUILTIN_NONABELIAN)}")
             block = BUILTIN_NONABELIAN[key]
             order = block.order
         else:
             try:
                 block = [int(part.strip()) for part in token.split(",")]
             except ValueError:
-                raise ValueError(f"bad block token {token!r} in group spec {text!r}") from None
+                raise ValueError(f"bad block token {quoted(token)} in group spec "
+                                 f"{quoted(text)}") from None
             if any(m < 1 for m in block):
-                raise ValueError(f"cyclic orders must be at least 1 in block {token!r}")
+                raise ValueError(f"cyclic orders must be at least 1 in block {quoted(token)}")
             order = 1
             for m in block:
                 order = min(order * m, cap)
@@ -367,7 +368,7 @@ def parse_structure_spec(text: str) -> StructureSpec:
         if total < cap:
             blocks.append(block)
     if total == cap:
-        raise ValueError(f"group spec {text!r} has order above {CARRIER_LIMIT}")
+        raise ValueError(f"group spec {quoted(text)} has order above {CARRIER_LIMIT}")
     return StructureSpec(tuple(normalize_invariant_factors(b) if isinstance(b, list) else b
                                for b in blocks))
 

@@ -259,6 +259,23 @@ def test_nabla_lines_over_the_cap_exit_2_before_building(tmp_path, capsys, no_st
     assert err == f"error: line {cap + 2}: more than {cap} nabla lines\n"
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["build", "--groups", ",".join(["2"] * 100_001)], None, "has order above"),
+    (["build", "--groups", "Q" * 400_000], None, "unknown group name 'QQQ"),
+    (["build", "--groups", "2," + "a" * 400_000], None, "(400002 characters) in group spec"),
+    (["verify"], "x" * 400_000 + " 0\n", "line 1: unknown field 'xxx"),
+])
+def test_rejected_input_is_echoed_in_a_bounded_message(tmp_path, capsys, argv, text, message):
+    # the message keeps the input's first few dozen characters and its length
+    if text is not None:
+        path = tmp_path / "long.rel"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+    assert len(err.encode()) < 300, err[:300]
+
+
 def test_carrier_cap_is_inclusive(capsys):
     assert CARRIER_LIMIT >= 120
     code, out, _ = run(capsys, "build", "--groups", f"{CARRIER_LIMIT - 1};1")

@@ -197,7 +197,9 @@ def test_pair_violating_only_through_split_right():
 
 def test_passing_checks_never_compute_split_right(monkeypatch):
     # split-left, (delta ⊗ id) >> (id ⊗ nabla), is the one whisker with an
-    # outer identity (m > 1) a check builds; split-right is its converse
+    # outer identity (m > 1) a check may build, and split-right is its
+    # converse; on a group the slices show every block equal, so a passing
+    # check composes neither split
     whisker_right_blocks = relfrob.Rel.whisker_right_blocks
     outer = []
 
@@ -213,7 +215,90 @@ def test_passing_checks_never_compute_split_right(monkeypatch):
         assert check(c)
         # the spy sits on the code that runs: the unit laws and
         # associativity are whiskers with m = 1
-        assert outer.count(True) == 1 and outer.count(False) >= 4
+        assert outer.count(True) == 0 and outer.count(False) >= 4
+    # a block that differs is built by the split-left whisker
+    c = build_biproduct(parse_structure_spec("2;3"))
+    outer.clear()
+    assert not verify_structure(candidate(5, c.triples()[1:], c.bot)).frobenius.ok
+    assert outer.count(True) == 1
+
+
+def _cells_perturbed(spec: str, seed: int) -> tuple:
+    """spec's structure with one to three cells changed: each deleted, given
+    another value, or given a second value."""
+    c = build_biproduct(parse_structure_spec(spec))
+    rng = random.Random(f"{spec}/cells/{seed}")
+    cells = {(x, y): {z} for x, y, z in c.triples()}
+    for _ in range(rng.randint(1, 3)):
+        x, y, z = (rng.randrange(c.n) for _ in range(3))
+        kind = rng.randrange(3)
+        if kind == 0:
+            cells.pop((x, y), None)
+        elif kind == 1:
+            cells[x, y] = {z}
+        else:
+            cells.setdefault((x, y), set()).add(z)
+    return c.n, tuple(sorted((x, y, z) for (x, y), zs in cells.items() for z in zs)), c.bot
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("spec", ["6", "2,2", "3;4", "2;2;2", "S3;2", "8", "1;1"])
+def test_slice_route_matches_reference_on_perturbed_groups(spec, seed):
+    n, triples, bot = _cells_perturbed(spec, seed)
+    v = verify_structure(candidate(n, triples, bot)).frobenius
+    assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
+
+
+# non-cancellative tables: x*y = max(x, y), x*y = x and x*y = 0 have
+# slices D_z[x] = {y' : x*y' = z} of two or more bits
+WIDE_SLICES = [(n, tuple((x, y, op(x, y)) for x in range(n) for y in range(n)))
+               for n in (2, 3, 5) for op in (max, lambda x, y: x, lambda x, y: 0)]
+
+
+@pytest.mark.parametrize("n, triples", WIDE_SLICES)
+def test_slices_of_two_or_more_bits_match_reference(n, triples):
+    c = candidate(n, triples, [0])
+    assert c.is_single_valued() and relfrob.frobenius._equal_prefix(c) == 0
+    v = verify_structure(c).frobenius
+    assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
+    assert verify_structure(c).frobenius_pointwise == v
+
+
+Z2_CUBE = build_biproduct(parse_structure_spec("2;2;2")).triples()
+
+
+@pytest.mark.parametrize("n, triples, prefix", [
+    (6, Z2_CUBE, 6),
+    # without 5*5 the third Z2 block fails, from its first element, 4, on
+    (6, tuple(t for t in Z2_CUBE if t[:2] != (5, 5)), 4),
+    # the fiber at (0, 1) holds (2, 3), though D_0 is empty: no slice of
+    # split-left's block 0 reaches it
+    (5, ((0, 1, 4), (2, 3, 4)), 0),
+    # one non-cancellative row, D_1[1] = {0, 1}: no block is read on slices
+    (2, ((1, 0, 1), (1, 1, 1)), 0),
+])
+def test_slices_decide_the_blocks_before_the_first_that_differs(n, triples, prefix):
+    c = candidate(n, triples, [0])
+    assert relfrob.frobenius._equal_prefix(c) == prefix
+    v = verify_structure(c).frobenius
+    assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
+    assert v.ok == (prefix == n)
+
+
+@pytest.mark.parametrize("triples, pair, sets", [
+    # Z2 without 1*0: at (1, 0) only split-right holds a pair, (1*1, 1)
+    (((0, 0, 0), (0, 1, 1), (1, 1, 0)), (1, 0), (frozenset(), frozenset(), frozenset({(0, 1)}))),
+    # Z2 without 0*1: at (0, 1) only split-left holds a pair, (1, 1*1)
+    (((0, 0, 0), (1, 0, 1), (1, 1, 0)), (0, 1), (frozenset(), frozenset({(1, 0)}), frozenset())),
+])
+def test_undefined_product_violating_through_one_split(triples, pair, sets):
+    # where i*j is undefined the fiber is empty, so a route that tests only
+    # one split there misses one of these violations
+    assert naive.frobenius_sets_at(2, triples, *pair) == sets
+    rep = verify_structure(candidate(2, triples, [0]))
+    v = rep.frobenius
+    assert (v.ok, v.witness, v.violations) == _reference_interchange(2, triples)
+    assert pair in v.violations and rep.frobenius_pointwise == v
 
 
 def test_comonoid_laws_hold_for_verified_structures(z2, standard2, z3):
