@@ -15,10 +15,9 @@ bug in one of the routes.  The composite route computes the fiber and one
 split only: the other split is its converse, because delta is nabla's
 converse, and on failure it is read off the rows where the first split
 differs.  It first compares the two on n-bit slices of delta's rows
-(``_equal_prefix``): a reading of those rows as small ints, not a second ⊗
-kernel.  The whisker builds split-left only from the first block the
-slices do not show equal, so a passing check on a group or groupoid
-composes neither split.
+(``_slice_blocks``): a reading of those rows as small ints, not a second ⊗
+kernel.  The whisker builds only the blocks the slices show differing, so
+a passing check on a group or groupoid composes neither split.
 
 Each composite is a stream of blocks of bit rows.  No tensor is built: the
 right whisker ``Rel.whisker_right_blocks`` builds (r ⊗ id) >> s straight
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter, ne, or_
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .rel import Rel, _getter, bits, identity, vector
 
@@ -55,9 +54,9 @@ from .rel import Rel, _getter, bits, identity, vector
 CARRIER_LIMIT = 128
 
 
-def quoted(text: str, limit: int = 40) -> str:
-    """text's repr in an error message: its first ``limit`` characters, if longer its length."""
-    return repr(text[:limit]) + (f"... ({len(text)} characters)" if len(text) > limit else "")
+def quoted(text: str) -> str:
+    """text's repr in an error message: its first 40 characters, if longer its length."""
+    return repr(text[:40]) + (f"... ({len(text)} characters)" if len(text) > 40 else "")
 
 
 class FrobeniusCandidate:
@@ -178,8 +177,9 @@ class AxiomReport:
 # blocks: (index of the block's first row, got block, wanted block), in row
 # order.  Witness shapes are those documented on verify_structure.
 
-def _differing_blocks(got: Iterable[tuple[int, ...]], want: Iterable[tuple[int, ...]],
-                      start: int = 0) -> Iterator[tuple[int, tuple, tuple]]:
+def _differing_blocks(got: Iterable[tuple[int, ...]],
+                      want: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple, tuple]]:
+    start = 0
     for g, w in zip(got, want):
         if g != w:
             yield start, g, w
@@ -230,12 +230,11 @@ def _commutativity(c: FrobeniusCandidate) -> Iterator[tuple]:  # swap >> nabla
     return _differing_blocks(_columns(c), (rows[i * n:(i + 1) * n] for i in range(n)))
 
 
-def _equal_prefix(c: FrobeniusCandidate) -> int:
-    """How many leading blocks of the fiber and split-left the slices show
-    equal, for a single-valued nabla; 0 unless every slice D_z[x] has at
-    most one bit.  Slice x of block a is then, over j, D_{a*j}[x] in the
-    fiber and y'*j in split-left, where D_a[x] = {y'}, or empty where D_a[x]
-    is empty."""
+def _slice_blocks(c: FrobeniusCandidate) -> Sequence[int]:
+    """The blocks a where a single-valued nabla's fiber and split-left may
+    differ: all, unless every slice D_z[x] has at most one bit; then those
+    where slice x, over j, differs: D_{a*j}[x] in the fiber, y'*j in
+    split-left where D_a[x] = {y'}, or empty where D_a[x] is empty."""
     n, delta = c.n, c.delta
     # slices[x][z + 1] = D_z[x] = {y} as y + 1, 0 when empty: a bit length,
     # like the products', so an undefined product gathers slices[x][0]
@@ -243,16 +242,14 @@ def _equal_prefix(c: FrobeniusCandidate) -> int:
     for z, ps in enumerate(delta.positions, 1):
         for x, y in map(divmod, ps, repeat(n)):
             if slices[x][z]:  # a second y' with x*y' = z
-                return 0
+                return range(n)
             slices[x][z] = y + 1
     lengths = tuple(map(int.bit_length, c.nabla.rows))
     table = [(0,) * n] + [lengths[y * n:(y + 1) * n] for y in range(n)]  # [y' + 1]: row y'
-    for a in range(n):  # a block with no factors and no products is empty on both sides
-        if (delta.rows[a] or any(table[a + 1])) and (
-                tuple(map(_getter(table[a + 1]), slices))
-                != _getter(tuple(map(itemgetter(a + 1), slices)))(table)):
-            return a
-    return n
+    # a block with no factors and no products is empty on both sides
+    return [a for a in range(n) if (delta.rows[a] or any(table[a + 1])) and (
+        tuple(map(_getter(table[a + 1]), slices))
+        != _getter(tuple(map(itemgetter(a + 1), slices)))(table))]
 
 
 def _interchange(c: FrobeniusCandidate) -> Iterator[tuple]:
@@ -263,14 +260,16 @@ def _interchange(c: FrobeniusCandidate) -> Iterator[tuple]:
     fiber nabla >> delta is its own converse.  So once split-left equals the
     fiber, split-right does too, and it is never computed.
     """
-    n, delta = c.n, c.delta
-    start = _equal_prefix(c) if c.is_single_valued() else 0  # composed from start on
-    if start == n:
+    n, nab, delta = c.n, c.nabla, c.delta
+    blocks = _slice_blocks(c) if c.is_single_valued() else range(n)
+    if not blocks:
         return iter(())
-    fiber = (c.nabla >> delta).rows
-    rest = delta if start == 0 else Rel(n - start, n * n, delta.rows[start:])
-    return _differing_blocks((fiber[a * n:(a + 1) * n] for a in range(start, n)),
-                             rest.whisker_right_blocks(n, c.nabla, n), start * n)
+    fiber = (nab >> delta).rows
+    lefts = delta if len(blocks) == n else Rel._unchecked(
+        len(blocks), n * n, tuple(map(delta.rows.__getitem__, blocks)))
+    return ((a * n, fiber[a * n:(a + 1) * n], left)
+            for a, left in zip(blocks, lefts.whisker_right_blocks(n, nab, n))
+            if fiber[a * n:(a + 1) * n] != left)
 
 
 def _first(blocks: Iterator[tuple], witness: Callable[..., tuple]) -> Verdict:
@@ -390,8 +389,7 @@ def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
     n, rows, cols, _, pairs = index
     # where i*j is undefined the fiber is empty, and split-left is empty
     # unless some right factor yp of i has yp*j defined; split-right likewise
-    rights = [frozenset(yp for _, yp in ps) for ps in pairs]
-    lefts = [frozenset(xp for xp, _ in ps) for ps in pairs]
+    rights, lefts = ([frozenset(p[k] for p in ps) for ps in pairs] for k in (1, 0))
     violations = []
     for i, ri in enumerate(rows):
         for j in range(n):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from operator import ne
 
 import hypothesis.strategies as st
 import pytest
@@ -258,7 +259,7 @@ WIDE_SLICES = [(n, tuple((x, y, op(x, y)) for x in range(n) for y in range(n)))
 @pytest.mark.parametrize("n, triples", WIDE_SLICES)
 def test_slices_of_two_or_more_bits_match_reference(n, triples):
     c = candidate(n, triples, [0])
-    assert c.is_single_valued() and relfrob.frobenius._equal_prefix(c) == 0
+    assert c.is_single_valued() and relfrob.frobenius._slice_blocks(c) == range(n)
     v = verify_structure(c).frobenius
     assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
     assert verify_structure(c).frobenius_pointwise == v
@@ -267,22 +268,26 @@ def test_slices_of_two_or_more_bits_match_reference(n, triples):
 Z2_CUBE = build_biproduct(parse_structure_spec("2;2;2")).triples()
 
 
-@pytest.mark.parametrize("n, triples, prefix", [
-    (6, Z2_CUBE, 6),
-    # without 5*5 the third Z2 block fails, from its first element, 4, on
-    (6, tuple(t for t in Z2_CUBE if t[:2] != (5, 5)), 4),
+@pytest.mark.parametrize("n, triples, blocks", [
+    (6, Z2_CUBE, []),
+    # without 5*5 the third Z2 block, elements 4 and 5, fails
+    (6, tuple(t for t in Z2_CUBE if t[:2] != (5, 5)), [4, 5]),
     # the fiber at (0, 1) holds (2, 3), though D_0 is empty: no slice of
-    # split-left's block 0 reaches it
-    (5, ((0, 1, 4), (2, 3, 4)), 0),
-    # one non-cancellative row, D_1[1] = {0, 1}: no block is read on slices
-    (2, ((1, 0, 1), (1, 1, 1)), 0),
+    # split-left's block 0 reaches it; block 2 has (2, 3*1) in split-left
+    (5, ((0, 1, 4), (2, 3, 4)), [0, 2]),
+    # one non-cancellative row, D_1[1] = {0, 1}: every block is composed,
+    # though only block 1 differs
+    (2, ((1, 0, 1), (1, 1, 1)), [0, 1]),
 ])
-def test_slices_decide_the_blocks_before_the_first_that_differs(n, triples, prefix):
+def test_slices_decide_which_blocks_are_composed(n, triples, blocks):
     c = candidate(n, triples, [0])
-    assert relfrob.frobenius._equal_prefix(c) == prefix
+    assert list(relfrob.frobenius._slice_blocks(c)) == blocks
+    differing = [a for a in range(n) if any(
+        ne(*naive.frobenius_sets_at(n, triples, a, j)[:2]) for j in range(n))]
+    assert set(differing) <= set(blocks) and (differing == blocks or n == 2)
     v = verify_structure(c).frobenius
     assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
-    assert v.ok == (prefix == n)
+    assert v.ok == (not blocks)
 
 
 @pytest.mark.parametrize("triples, pair, sets", [
