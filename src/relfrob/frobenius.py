@@ -31,19 +31,20 @@ two sides block against block with ``==``; only a block that differs is
 searched for its differing rows, which give the witness.
 ``verify_structure`` builds the report from those rows and caches it on
 the candidate; ``satisfies_axioms`` stops at the first block that differs
-and never runs the pointwise route.  The pointwise route works from dicts
-of products indexed by value, with each pair (x, y) coded as x·n + y, and
-shares no code with the bit rows or the slices; where i*j is undefined it
-only tests that both splits are empty.  Its witness decodes the three code
-sets of the first violating pair, in code order.
+and never runs the pointwise route.  That route shares no code with the
+bit rows or the slices: where no row or column repeats a defined value it
+counts on gathered rows of the product table, elsewhere it works from dicts
+of products indexed by value, each pair (x, y) coded as x·n + y.  Its
+witness decodes the three code sets of the first violating pair, in code order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter, ne, or_
+from operator import itemgetter, mul, ne, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .rel import Rel, _getter, bits, identity, vector
@@ -62,7 +63,7 @@ def quoted(text: str) -> str:
 class FrobeniusCandidate:
     """A multiplication relation and unit subset over carrier {0..n-1}."""
 
-    __slots__ = ("n", "nabla", "bot", "delta", "bot_vec", "_report")
+    __slots__ = ("n", "nabla", "bot", "delta", "bot_vec", "_report", "_single_valued")
 
     def __init__(self, n: int, nabla: Rel, bot: Iterable[int]):
         if nabla.dom != n * n or nabla.cod != n:
@@ -74,6 +75,7 @@ class FrobeniusCandidate:
         self.bot_vec = vector(n, self.bot)
         self.delta = nabla.converse()
         self._report: AxiomReport | None = None  # filled by verify_structure
+        self._single_valued = max(map(int.bit_count, nabla.rows), default=0) <= 1
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, int]],
@@ -87,7 +89,7 @@ class FrobeniusCandidate:
         return tuple(sorted((p // n, p % n, z) for p, z in self.nabla.pairs()))
 
     def is_single_valued(self) -> bool:
-        return max(map(int.bit_count, self.nabla.rows), default=0) <= 1
+        return self._single_valued
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrobeniusCandidate):
@@ -378,30 +380,68 @@ def _sets_at(index: tuple, i: int, j: int) -> tuple[frozenset, set, set]:
     return fiber, split_left, split_right
 
 
+def _split_left_misses(rows: list[tuple], sizes: list[int]) -> Iterator[tuple[int, int]]:
+    """The (i, j), in order, where h, d, f of check_fro_pointwise's lemma differ."""
+    n = len(rows)
+    gets = [itemgetter(*r) for r in rows]  # n + 1 > 1 indices: always a tuple
+    for i, ri in enumerate(rows):
+        facts = [(x, r.index(i)) for x, r in enumerate(rows) if i in r]  # x*y' = i
+        # column j: each x*(y'*j), against i*j (-1 where undefined), and each y'*j
+        gathered, factors = (zip(*vs) if facts else repeat(()) for vs in (
+            [gets[y](rows[x]) for x, y in facts], [rows[y] for _, y in facts]))
+        yield from ((i, j) for j, z, w, g, f in zip(range(n), ri, gets[i]((*range(n), -1)),
+                    gathered, factors) if not g.count(w) == len(f) - f.count(n) == sizes[z])
+
+
 def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
     """Interchange law evaluated pointwise on the partial operation.
 
     Raises ValueError when the multiplication is not single-valued, naming
     the offending input pair.  The verdict mirrors the composite check
     exactly: same witness, same violation tuple.
+
+    Lemma, where no row or column repeats a defined value: at (i, j) let d
+    count the x*y' = i with y'*j defined, h those with x*(y'*j) = i*j
+    defined, f = |F(i*j)|.  Row x fixes y', so split-left holds d distinct
+    pairs (x, y'*j), h in the fiber: h <= d, h <= f, both equal exactly when
+    split-left is the fiber; so too for their sums over all pairs.  Row x
+    padded with n, gathered at row y', is x*(y'*j) for all j.  Where each
+    is row x*y' (all undefined where x*y' is), the sums are those of
+    |F(z)|·|row z|, |row y|·|column y|, |F(z)|², on the transposed table
+    (split-left there is split-right) too.  Else h = d = f is read per pair.
     """
-    index = _pointwise_index(c)  # raises, naming the pair, when multi-valued
-    n, rows, cols, _, pairs = index
-    # where i*j is undefined the fiber is empty, and split-left is empty
-    # unless some right factor yp of i has yp*j defined; split-right likewise
-    rights, lefts = ([frozenset(p[k] for p in ps) for ps in pairs] for k in (1, 0))
-    violations = []
-    for i, ri in enumerate(rows):
-        for j in range(n):
-            if j in ri:
-                fiber, split_left, split_right = _sets_at(index, i, j)
-                ok = fiber == split_left == split_right
-            else:
-                ok = rights[i].isdisjoint(cols[j]) and lefts[j].isdisjoint(ri)
-            if not ok:
-                violations.append((i, j))
+    n, index = c.n, None
+    table = tuple((r.bit_length() or n + 1) - 1 for r in c.nabla.rows)  # x*y, n if undefined
+    lines = [(*table[x * n:(x + 1) * n], n) for x in range(n)] + [(n,) * (n + 1)]
+    lines += islice(zip(*lines), n)  # the rows padded with n, the undefined row, the columns
+    if c.is_single_valued() and all(len({*r}) == n + 2 - r.count(n) for r in lines):
+        sizes = [*map(Counter(table).get, range(n), repeat(0)), 0]
+        rowdef, coldef = ([n + 1 - r.count(n) for r in ls] for ls in (lines[:n], lines[n + 1:]))
+        every = itemgetter(*chain.from_iterable(lines[:n + 1]))  # at every row y', undefined too
+        if sum(map(mul, sizes, rowdef)) == sum(map(mul, rowdef, coldef)) == sum(
+                map(mul, sizes, sizes)) and all(every(r) == tuple(chain.from_iterable(
+                    map(lines.__getitem__, r))) for r in lines[:n]):
+            return Verdict(True)  # no sets built
+        violations = sorted({*_split_left_misses(lines[:n], sizes),
+                             *((i, j) for j, i in _split_left_misses(lines[n + 1:], sizes))})
+    else:
+        n, rows, cols, _, pairs = index = _pointwise_index(c)  # raises when multi-valued
+        # where i*j is undefined the fiber is empty, and split-left is empty
+        # unless some right factor yp of i has yp*j defined; split-right likewise
+        rights, lefts = ([frozenset(p[k] for p in ps) for ps in pairs] for k in (1, 0))
+        violations = []
+        for i, ri in enumerate(rows):
+            for j in range(n):
+                if j in ri:
+                    fiber, split_left, split_right = _sets_at(index, i, j)
+                    ok = fiber == split_left == split_right
+                else:
+                    ok = rights[i].isdisjoint(cols[j]) and lefts[j].isdisjoint(ri)
+                if not ok:
+                    violations.append((i, j))
     if not violations:
         return Verdict(True)
     i, j = violations[0]
+    index = index or _pointwise_index(c)
     sets = (frozenset(divmod(p, n) for p in sorted(codes)) for codes in _sets_at(index, i, j))
     return Verdict(False, FroWitness(i, j, *sets), tuple(violations))

@@ -306,6 +306,109 @@ def test_undefined_product_violating_through_one_split(triples, pair, sets):
     assert pair in v.violations and rep.frobenius_pointwise == v
 
 
+def _pair_groupoid(k: int) -> tuple:
+    """The pair groupoid on k objects: (a, b)*(b, c) = (a, c), coded a*k + b."""
+    return k * k, tuple((a * k + b, b * k + c, a * k + c)
+                        for a in range(k) for b in range(k) for c in range(k))
+
+
+CANCELLATIVE_BASES = [(c.n, c.triples()) for c in map(build_biproduct, map(parse_structure_spec, (
+    "1", "2", "3", "2,2", "5", "6", "S3", "7", "2;3", "2;2;2", "S3;1", "1;1;1")))]
+# the pair groupoid on two objects, alone and beside Z3 on points 4..6
+CANCELLATIVE_BASES += [_pair_groupoid(2), (7, _pair_groupoid(2)[1] + tuple(
+    (x + 4, y + 4, (x + y) % 3 + 4) for x in range(3) for y in range(3)))]
+
+
+@st.composite
+def cancellative_tables(draw, max_n: int = 7):
+    """A partial operation no row or column of which repeats a defined value:
+    a partial Latin rectangle, or a group, union of groups or pair groupoid
+    with up to three cells deleted, plus a unit subset."""
+    if draw(st.booleans()):
+        n, triples = draw(st.sampled_from(CANCELLATIVE_BASES))
+        triples = list(triples)
+        for _ in range(draw(st.integers(0, 3))):
+            if triples:
+                del triples[draw(st.integers(0, len(triples) - 1))]
+    else:
+        n, triples = draw(st.integers(0, max_n)), []
+        rows, cols = [set() for _ in range(n)], [set() for _ in range(n)]
+        for x, y in product(range(n), repeat=2):
+            z = draw(st.sampled_from([-1, *(v for v in range(n) if v not in rows[x] | cols[y])]))
+            if z >= 0:
+                rows[x].add(z)
+                cols[y].add(z)
+                triples.append((x, y, z))
+    return n, tuple(triples), draw(st.frozensets(st.integers(0, n - 1))) if n else frozenset()
+
+
+@given(cancellative_tables())
+def test_cancellative_tables_match_the_naive_sets(table):
+    # the counting route against tests/naive.py's fiber and splits, read at
+    # every pair, and against the composite route
+    n, triples, bot = table
+    v = check_fro_pointwise(candidate(n, triples, bot))
+    assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
+    assert verify_structure(candidate(n, triples, bot)).frobenius == v
+
+
+@pytest.mark.parametrize("n, triples", [
+    (0, ()), (1, ()), (1, ((0, 0, 0),)),
+    # associative, and the sums of h and f agree, but not of d: 2*0 = 2 and
+    # 0*1 = 1 while 2*1 is undefined, so split-left at (2, 1) is {(2, 1)}
+    (3, ((0, 0, 0), (0, 1, 1), (2, 0, 2))),
+])
+def test_pointwise_on_small_cancellative_tables(n, triples):
+    for bot in ([], [0])[:n + 1]:
+        v = check_fro_pointwise(candidate(n, triples, bot))
+        assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
+
+
+@pytest.mark.parametrize("n, triples", WIDE_SLICES)
+def test_non_cancellative_tables_take_the_exact_loop(monkeypatch, n, triples):
+    # max, left-zero and constant tables repeat a value in a row: the
+    # counting route does not hold for them, so each builds the dict index
+    # once, passing or failing, and never counts
+    def refuse(*args):
+        raise AssertionError("counting route run")
+    built = []
+    index = relfrob.frobenius._pointwise_index
+    monkeypatch.setattr(relfrob.frobenius, "_split_left_misses", refuse)
+    monkeypatch.setattr(relfrob.frobenius, "_pointwise_index",
+                        lambda c: built.append(c.n) or index(c))
+    v = check_fro_pointwise(candidate(n, triples, [0]))
+    assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
+    assert built == [n]
+
+
+def test_multi_valued_error_names_the_pair():
+    # Z4 with a second value at 2*1: the message names that cell, not (0, 0)
+    c = build_biproduct(parse_structure_spec("4"))
+    with pytest.raises(ValueError, match=r"at \(2, 1\): values \[0, 3\]"):
+        check_fro_pointwise(candidate(4, c.triples() + ((2, 1, 0),), c.bot))
+
+
+def test_cancellative_tables_build_sets_only_at_the_witness(monkeypatch):
+    # a passing group or union of groups is decided by one sweep of gathers
+    # and three sums; a failing one builds the dict index and the sets once,
+    # at its witness pair
+    def refuse(*args):
+        raise AssertionError("sets built")
+    for name in ("_sets_at", "_pointwise_index"):
+        monkeypatch.setattr(relfrob.frobenius, name, refuse)
+    for spec in ("6", "S3;2", "2;2;2"):
+        rep = verify_structure(build_biproduct(parse_structure_spec(spec)))
+        assert rep.is_special_frobenius and rep.frobenius_pointwise == Verdict(True)
+    monkeypatch.undo()
+    sets_at = relfrob.frobenius._sets_at
+    pairs = []
+    monkeypatch.setattr(relfrob.frobenius, "_sets_at",
+                        lambda index, i, j: pairs.append((i, j)) or sets_at(index, i, j))
+    c = build_biproduct(parse_structure_spec("6"))
+    v = check_fro_pointwise(candidate(6, c.triples()[1:], c.bot))
+    assert not v.ok and pairs == [(v.witness.i, v.witness.j)]
+
+
 def test_comonoid_laws_hold_for_verified_structures(z2, standard2, z3):
     # coassociativity and counit laws follow by taking converses
     from relfrob import identity
