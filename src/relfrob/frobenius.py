@@ -24,11 +24,10 @@ right whisker ``Rel.whisker_right_blocks`` builds (r ⊗ id) >> s straight
 off the rows of s, from the bit positions of r's rows, which each relation
 decodes once.  It is the package's one ⊗ kernel (``Rel.tensor`` is a
 whisker too).  A composite with r on the right of the ⊗ is read off it:
-the right unit whiskers swap >> nabla, and the right side of
-associativity is the transpose of such a whisker, so it is the one stream
-built whole before its first block is compared.  Each axiom compares its
-two sides block against block with ``==``; only a block that differs is
-searched for its differing rows, which give the witness.
+the right unit whiskers swap >> nabla, and associativity whiskers only
+its cells of two or more values.  Each axiom compares its two sides block
+against block with ``==``; only a block that differs is searched for its
+differing rows, which give the witness.
 ``verify_structure`` builds the report from those rows and caches it on
 the candidate; ``satisfies_axioms`` stops at the first block that differs
 and never runs the pointwise route.  That route shares no code with the
@@ -36,6 +35,9 @@ bit rows or the slices: where no row or column repeats a defined value it
 counts on gathered rows of the product table, elsewhere it works from dicts
 of products indexed by value, each pair (x, y) coded as x·n + y.  Its
 witness decodes the three code sets of the first violating pair, in code order.
+
+Classical structures in Rel are direct sums of groups, so the routes that
+would read n³ entries skip what a lemma, proved where used, shows empty.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter, mul, ne, or_
+from operator import and_, eq, itemgetter, mul, ne, not_, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .rel import Rel, _getter, bits, identity, vector
@@ -63,7 +65,8 @@ def quoted(text: str) -> str:
 class FrobeniusCandidate:
     """A multiplication relation and unit subset over carrier {0..n-1}."""
 
-    __slots__ = ("n", "nabla", "bot", "delta", "bot_vec", "_report", "_single_valued")
+    __slots__ = ("n", "nabla", "bot", "delta", "swapped", "row_values", "bot_vec", "_report",
+                 "_single_valued")
 
     def __init__(self, n: int, nabla: Rel, bot: Iterable[int]):
         if nabla.dom != n * n or nabla.cod != n:
@@ -74,6 +77,10 @@ class FrobeniusCandidate:
         self.bot = frozenset(bot)
         self.bot_vec = vector(n, self.bot)
         self.delta = nabla.converse()
+        # swap >> nabla, and the values of each row x as bits, for the axioms
+        lines = [*zip(*[iter(nabla.rows)] * n)]
+        self.swapped = Rel._unchecked(n * n, n, tuple(chain.from_iterable(zip(*lines))))
+        self.row_values = [*map(reduce, repeat(or_), lines)]
         self._report: AxiomReport | None = None  # filled by verify_structure
         self._single_valued = max(map(int.bit_count, nabla.rows), default=0) <= 1
 
@@ -86,7 +93,7 @@ class FrobeniusCandidate:
 
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         n = self.n
-        return tuple(sorted((p // n, p % n, z) for p, z in self.nabla.pairs()))
+        return tuple((*divmod(p, n), z) for p, zs in enumerate(self.nabla.positions) for z in zs)
 
     def is_single_valued(self) -> bool:
         return self._single_valued
@@ -193,24 +200,37 @@ def _differing_rows(got: tuple[int, ...], want: tuple[int, ...]) -> Iterator[int
     return compress(count(), map(ne, got, want))
 
 
-def _columns(c: FrobeniusCandidate) -> Iterator[tuple[int, ...]]:
-    """The blocks of swap >> nabla: block i is column i of the table."""
-    n, rows = c.n, c.nabla.rows
-    return (rows[i::n] for i in range(n))
-
-
-def _swapped(c: FrobeniusCandidate) -> Rel:
-    """swap >> nabla: row (x, y) is the product y*x."""
-    return Rel(c.n * c.n, c.n, chain.from_iterable(_columns(c)))
-
-
 def _associativity(c: FrobeniusCandidate) -> Iterator[tuple]:
-    n, nab = c.n, c.nabla
-    lhs = nab.whisker_right_blocks(n, nab)  # (nabla ⊗ id) >> nabla, n rows per (a, b)
-    # (id ⊗ nabla) >> nabla, n*n rows per a, is the transpose of
-    # (nabla ⊗ id) >> (swap >> nabla), n rows per (b, c)
-    rhs = zip(*nab.whisker_right_blocks(n, _swapped(c)))
-    return _differing_blocks((tuple(chain.from_iterable(islice(lhs, n))) for _ in range(n)), rhs)
+    """Block (a, b), rows (a, b, c), is (a*b)*c on the left, a*(b*c) on the
+    right.  A cell's index in basis is z for the value z, n where undefined,
+    n + 1 + k for the k-th cell of several values, the one kind whiskered.
+    Lemma: where a*b is undefined and no value of row b is a defined right
+    factor of a, block (a, b) is empty on both sides: the left is a union
+    over a*b, and each a*z on the right, z in b*c a value of row b, is
+    undefined.  Where one mask test shows that of every such b, row a
+    gathers only the blocks with a*b defined; else it gathers all."""
+    n, rows = c.n, c.nabla.rows
+    basis = [*map((1).__lshift__, range(n)), 0]
+    many = (*{*rows}.difference(basis),)
+    basis += many
+    cells = tuple(map(dict(zip(basis, count())).__getitem__, rows))
+    pick, cut = _getter(cells), Rel._unchecked(len(many), n, many)
+    canon = pick(basis)  # one object per distinct cell: equal rows compare by identity
+    lhs = pick((*zip(*[iter(canon)] * n), (0,) * n, *cut.whisker_right_blocks(n, c.nabla)))
+    full, seen, lines = (1 << n) - 1, {}, [*zip(*[iter(cells)] * n)]
+    defined = reduce(or_, c.delta.rows, 0)  # bit a*n + b where a*b is defined
+    rights = zip(*[iter(canon)] * n, repeat(0, n), *cut.whisker_right_blocks(n, c.swapped))
+    for a, left, right in zip(range(n), zip(*[iter(lhs)] * n), rights):
+        d = defined >> a * n & full  # the b with a*b defined: the key of row a's gathers
+        if d not in seen:
+            keep = range(n) if reduce(or_, compress(c.row_values, map(not_, right)), 0) & d else (
+                tuple(compress(range(n), right)))  # the mask test
+            seen[d] = keep, _getter(tuple(chain.from_iterable(map(lines.__getitem__, keep))))
+        keep, gather = seen[d]
+        got, want = tuple(chain.from_iterable(map(left.__getitem__, keep))), gather(right)
+        if got != want:
+            yield from (((a * n + b) * n, got[k:k + n], want[k:k + n])
+                        for b, k in zip(keep, count(0, n)) if got[k:k + n] != want[k:k + n])
 
 
 def _left_unit(c: FrobeniusCandidate) -> Iterator[tuple]:  # (bot ⊗ id) >> nabla
@@ -219,7 +239,7 @@ def _left_unit(c: FrobeniusCandidate) -> Iterator[tuple]:  # (bot ⊗ id) >> nab
 
 def _right_unit(c: FrobeniusCandidate) -> Iterator[tuple]:
     # (id ⊗ bot) >> nabla is (bot ⊗ id) >> (swap >> nabla)
-    return _differing_blocks(c.bot_vec.whisker_right_blocks(c.n, _swapped(c)),
+    return _differing_blocks(c.bot_vec.whisker_right_blocks(c.n, c.swapped),
                              (identity(c.n).rows,))
 
 
@@ -228,15 +248,17 @@ def _special(c: FrobeniusCandidate) -> Iterator[tuple]:  # delta >> nabla
 
 
 def _commutativity(c: FrobeniusCandidate) -> Iterator[tuple]:  # swap >> nabla
-    n, rows = c.n, c.nabla.rows
-    return _differing_blocks(_columns(c), (rows[i * n:(i + 1) * n] for i in range(n)))
+    return _differing_blocks(zip(*[iter(c.swapped.rows)] * c.n), zip(*[iter(c.nabla.rows)] * c.n))
 
 
 def _slice_blocks(c: FrobeniusCandidate) -> Sequence[int]:
     """The blocks a where a single-valued nabla's fiber and split-left may
     differ: all, unless every slice D_z[x] has at most one bit; then those
     where slice x, over j, differs: D_{a*j}[x] in the fiber, y'*j in
-    split-left where D_a[x] = {y'}, or empty where D_a[x] is empty."""
+    split-left where D_a[x] = {y'}, or empty where D_a[x] is empty.
+    Lemma: slice x of block a is empty on both sides unless row x's values
+    meet a (else D_a[x] is empty) or row a's (else each D_{a*j}[x] is), so
+    each block is read only at those x."""
     n, delta = c.n, c.delta
     # slices[x][z + 1] = D_z[x] = {y} as y + 1, 0 when empty: a bit length,
     # like the products', so an undefined product gathers slices[x][0]
@@ -246,12 +268,13 @@ def _slice_blocks(c: FrobeniusCandidate) -> Sequence[int]:
             if slices[x][z]:  # a second y' with x*y' = z
                 return range(n)
             slices[x][z] = y + 1
-    lengths = tuple(map(int.bit_length, c.nabla.rows))
-    table = [(0,) * n] + [lengths[y * n:(y + 1) * n] for y in range(n)]  # [y' + 1]: row y'
-    # a block with no factors and no products is empty on both sides
-    return [a for a in range(n) if (delta.rows[a] or any(table[a + 1])) and (
-        tuple(map(_getter(table[a + 1]), slices))
-        != _getter(tuple(map(itemgetter(a + 1), slices)))(table))]
+    table = [(0,) * n, *zip(*[iter(map(int.bit_length, c.nabla.rows))] * n)]  # [y' + 1]: row y'
+    meets = [*map(or_, map((1).__lshift__, range(n)), c.row_values)]  # a and row a's values
+    near = {m: [*map(and_, c.row_values, repeat(m))] for m in {*meets}}
+    return [a for a, row, col, at in zip(range(n), table[1:], islice(zip(*slices), 1, None),
+                                          map(near.__getitem__, meets))
+            if tuple(map(_getter(row), compress(slices, at))) != tuple(
+                map(table.__getitem__, compress(col, at)))]
 
 
 def _interchange(c: FrobeniusCandidate) -> Iterator[tuple]:
@@ -405,22 +428,26 @@ def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
     defined, f = |F(i*j)|.  Row x fixes y', so split-left holds d distinct
     pairs (x, y'*j), h in the fiber: h <= d, h <= f, both equal exactly when
     split-left is the fiber; so too for their sums over all pairs.  Row x
-    padded with n, gathered at row y', is x*(y'*j) for all j.  Where each
-    is row x*y' (all undefined where x*y' is), the sums are those of
-    |F(z)|·|row z|, |row y|·|column y|, |F(z)|², on the transposed table
-    (split-left there is split-right) too.  Else h = d = f is read per pair.
+    padded with n, gathered at row y', is x*(y'*j) for all j.  Where it is
+    row x*y' at each defined x*y' (none is read elsewhere), the sums are
+    those of |F(z)|·|row z|, |row y|·|column y|, |F(z)|²: split-left is the
+    fiber, so is split-right, its converse.  Else h = d = f is read per pair.
     """
-    n, index = c.n, None
-    table = tuple((r.bit_length() or n + 1) - 1 for r in c.nabla.rows)  # x*y, n if undefined
-    lines = [(*table[x * n:(x + 1) * n], n) for x in range(n)] + [(n,) * (n + 1)]
-    lines += islice(zip(*lines), n)  # the rows padded with n, the undefined row, the columns
-    if c.is_single_valued() and all(len({*r}) == n + 2 - r.count(n) for r in lines):
+    n, rows, index = c.n, c.nabla.rows, None
+    cells = [*zip(*[iter(rows)] * n)]  # no line repeats a value: as many as defined cells
+    rowdef = [*map(int.bit_count, map(reduce, repeat(or_), cells))]
+    if c.is_single_valued() and sum(rowdef) == n * n - rows.count(0) == sum(coldef := [
+            *map(int.bit_count, map(reduce, repeat(or_), zip(*cells)))]):
+        table = tuple(map((n, *range(n)).__getitem__, map(int.bit_length, rows)))  # x*y, or n
+        lines = [(*table[x * n:(x + 1) * n], n) for x in range(n)] + [(n,) * (n + 1)]
+        lines += islice(zip(*lines), n)  # the rows padded with n, the undefined row, the columns
         sizes = [*map(Counter(table).get, range(n), repeat(0)), 0]
-        rowdef, coldef = ([n + 1 - r.count(n) for r in ls] for ls in (lines[:n], lines[n + 1:]))
-        every = itemgetter(*chain.from_iterable(lines[:n + 1]))  # at every row y', undefined too
         if sum(map(mul, sizes, rowdef)) == sum(map(mul, rowdef, coldef)) == sum(
-                map(mul, sizes, sizes)) and all(every(r) == tuple(chain.from_iterable(
-                    map(lines.__getitem__, r))) for r in lines[:n]):
+                map(mul, sizes, sizes)) and all(map(
+                    eq, chain.from_iterable(  # column y: row x at row y, where x*y is defined
+                        map(itemgetter(*r), compress(lines, map(n.__ne__, col)))
+                        for r, col in zip(lines, lines[n + 1:])),
+                    map(lines.__getitem__, filter(n.__ne__, chain.from_iterable(lines[n + 1:]))))):
             return Verdict(True)  # no sets built
         violations = sorted({*_split_left_misses(lines[:n], sizes),
                              *((i, j) for j, i in _split_left_misses(lines[n + 1:], sizes))})

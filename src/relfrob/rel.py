@@ -169,8 +169,10 @@ def _getter(indices: tuple[int, ...]) -> Callable[[Sequence], tuple]:
 
 def _right_blocks(positions, width: int, k: int, srows, cod: int,
                   m: int) -> Iterator[tuple[int, ...]]:
+    if not positions:
+        return iter(())
     zero = (0,) * k
-    if m == 1 and max(map(len, positions), default=0) <= 1:
+    if m == 1 and max(map(len, positions)) <= 1:
         # each block is one part of s, unmoved, or the zero block
         firsts = next(zip_longest(*positions, fillvalue=width), (width,) * len(positions))
         parts = {b: srows[b * k:(b + 1) * k] for b in set(firsts)}

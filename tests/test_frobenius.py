@@ -9,7 +9,7 @@ from operator import ne
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import naive
 import relfrob.frobenius
@@ -407,6 +407,91 @@ def test_cancellative_tables_build_sets_only_at_the_witness(monkeypatch):
     c = build_biproduct(parse_structure_spec("6"))
     v = check_fro_pointwise(candidate(6, c.triples()[1:], c.bot))
     assert not v.ok and pairs == [(v.witness.i, v.witness.j)]
+
+
+# direct-sum summands: groups, and the pair groupoid on two objects, each as
+# (size, triples, units)
+SUMMANDS = [(c.n, c.triples(), sorted(c.bot)) for c in map(build_biproduct, map(
+    parse_structure_spec, ("1", "2", "3", "2,2", "4", "S3")))] + [
+    (*_pair_groupoid(2), [0, 3])]
+
+
+@st.composite
+def sparse_tables(draw, max_n: int = 24):
+    """A direct sum of 2 to 8 summands on at most max_n points, with up to
+    three cells changed, deleted or given a second value, in any block or
+    across blocks, plus its units."""
+    n, cells, bot = 0, {}, set()
+    for size, triples, units in draw(st.lists(st.sampled_from(SUMMANDS), min_size=2, max_size=8)):
+        if n + size > max_n:
+            break
+        cells.update(((x + n, y + n), {z + n}) for x, y, z in triples)
+        bot.update(e + n for e in units)
+        n += size
+    for _ in range(draw(st.integers(0, 3))):
+        x, y, z = (draw(st.integers(0, n - 1)) for _ in range(3))
+        kind = draw(st.sampled_from(("changed", "deleted", "added")))
+        if kind == "changed":
+            cells[x, y] = {z}
+        elif kind == "deleted":
+            cells.pop((x, y), None)
+        else:
+            cells.setdefault((x, y), set()).add(z)
+    return n, tuple(sorted((x, y, z) for (x, y), zs in cells.items() for z in zs)), frozenset(bot)
+
+
+@settings(deadline=None)
+@given(sparse_tables())
+def test_sparse_tables_match_the_references(table):
+    # the skips of associativity, the slices and the pointwise sweep leave
+    # every verdict, witness and violation tuple as the definitions give them
+    n, triples, bot = table
+    rep = verify_structure(candidate(n, triples, bot))
+    want = naive.axioms(n, triples, bot)
+    assert {name: getattr(rep, name).ok for name in want} == want
+    for name, verdict in _reference_verdicts(n, triples, bot).items():
+        assert getattr(rep, name) == verdict, name
+    v = rep.frobenius
+    assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
+    if rep.frobenius_pointwise is not None:
+        assert rep.frobenius_pointwise == v
+
+
+def _gathered(monkeypatch, run, c) -> list[int]:
+    """The length of every gather run(c) makes through the module's
+    _getter and itemgetter, in call order."""
+    sizes = []
+
+    def counting(make):
+        def build(*indices):
+            get = make(*indices)
+            return lambda seq: sizes.append(len(out := get(seq))) or out
+        return build
+    for name in ("_getter", "itemgetter"):
+        monkeypatch.setattr(relfrob.frobenius, name,
+                            counting(getattr(relfrob.frobenius, name)))
+    run(c)
+    monkeypatch.undo()
+    return sizes
+
+
+@pytest.mark.parametrize("spec, n", [(None, 40), ("2;2;2;2;2;2;2;2", 16)])
+def test_sparse_tables_gather_only_what_their_lemmas_leave_open(monkeypatch, spec, n):
+    # on the empty 40-point table nothing is defined; on eight Z2 blocks each
+    # row and column meets its own block only.  Associativity gathers, per
+    # row a, the blocks (a, b) with a*b defined, n rows each (its first two
+    # gathers index the cells, n*n each); the slices gather, per block a,
+    # the slices x in a's block; the pointwise sweep gathers, per column y,
+    # the rows x with x*y defined, n + 1 entries each
+    c = (FrobeniusCandidate.from_triples(n, [], []) if spec is None
+         else build_biproduct(parse_structure_spec(spec)))
+    block = 0 if spec is None else 2
+    assoc = _gathered(monkeypatch, lambda c: next(relfrob.frobenius._associativity(c), None), c)
+    assert assoc[:2] == [n * n] * 2 and max(assoc[2:], default=0) == block * n
+    slices = _gathered(monkeypatch, relfrob.frobenius._slice_blocks, c)
+    assert slices == [n] * (block * n)
+    sweep = _gathered(monkeypatch, check_fro_pointwise, c)
+    assert sweep == [n + 1] * (block * n)
 
 
 def test_comonoid_laws_hold_for_verified_structures(z2, standard2, z3):
