@@ -31,10 +31,11 @@ differing rows, which give the witness.
 ``verify_structure`` builds the report from those rows and caches it on
 the candidate; ``satisfies_axioms`` stops at the first block that differs
 and never runs the pointwise route.  That route shares no code with the
-bit rows or the slices: where no row or column repeats a defined value it
-counts on gathered rows of the product table, elsewhere it works from dicts
-of products indexed by value, each pair (x, y) coded as x·n + y.  Its
-witness decodes the three code sets of the first violating pair, in code order.
+bit rows or the slices: where no row or column repeats a defined value, a
+sweep of gathered rows of the product table may accept the table; every
+table it does not accept is decided from dicts of products indexed by
+value, each pair (x, y) coded as x·n + y.  Its witness decodes the three
+code sets of the first violating pair, in code order.
 
 Classical structures in Rel are direct sums of groups, so the routes that
 would read n³ entries skip what a lemma, proved where used, shows empty.
@@ -258,7 +259,10 @@ def _slice_blocks(c: FrobeniusCandidate) -> Sequence[int]:
     split-left where D_a[x] = {y'}, or empty where D_a[x] is empty.
     Lemma: slice x of block a is empty on both sides unless row x's values
     meet a (else D_a[x] is empty) or row a's (else each D_{a*j}[x] is), so
-    each block is read only at those x."""
+    each block is read only at those x.  A table with a two-bit slice, such
+    as a sparse partial one, falls back to every block: falling back per
+    block instead measured slower on a 2-vCPU VM (partial n = 36
+    interchange 1.26 → 1.85 ms; the verify streams' parse + verify 3–4 %)."""
     n, delta = c.n, c.delta
     # slices[x][z + 1] = D_z[x] = {y} as y + 1, 0 when empty: a bit length,
     # like the products', so an undefined product gathers slices[x][0]
@@ -403,19 +407,6 @@ def _sets_at(index: tuple, i: int, j: int) -> tuple[frozenset, set, set]:
     return fiber, split_left, split_right
 
 
-def _split_left_misses(rows: list[tuple], sizes: list[int]) -> Iterator[tuple[int, int]]:
-    """The (i, j), in order, where h, d, f of check_fro_pointwise's lemma differ."""
-    n = len(rows)
-    gets = [itemgetter(*r) for r in rows]  # n + 1 > 1 indices: always a tuple
-    for i, ri in enumerate(rows):
-        facts = [(x, r.index(i)) for x, r in enumerate(rows) if i in r]  # x*y' = i
-        # column j: each x*(y'*j), against i*j (-1 where undefined), and each y'*j
-        gathered, factors = (zip(*vs) if facts else repeat(()) for vs in (
-            [gets[y](rows[x]) for x, y in facts], [rows[y] for _, y in facts]))
-        yield from ((i, j) for j, z, w, g, f in zip(range(n), ri, gets[i]((*range(n), -1)),
-                    gathered, factors) if not g.count(w) == len(f) - f.count(n) == sizes[z])
-
-
 def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
     """Interchange law evaluated pointwise on the partial operation.
 
@@ -423,52 +414,53 @@ def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
     the offending input pair.  The verdict mirrors the composite check
     exactly: same witness, same violation tuple.
 
-    Lemma, where no row or column repeats a defined value: at (i, j) let d
-    count the x*y' = i with y'*j defined, h those with x*(y'*j) = i*j
-    defined, f = |F(i*j)|.  Row x fixes y', so split-left holds d distinct
-    pairs (x, y'*j), h in the fiber: h <= d, h <= f, both equal exactly when
-    split-left is the fiber; so too for their sums over all pairs.  Row x
-    padded with n, gathered at row y', is x*(y'*j) for all j.  Where it is
-    row x*y' at each defined x*y' (none is read elsewhere), the sums are
-    those of |F(z)|·|row z|, |row y|·|column y|, |F(z)|²: split-left is the
-    fiber, so is split-right, its converse.  Else h = d = f is read per pair.
+    A sweep of gathers and three sums accepts a passing table on which no
+    row or column repeats a defined value, as every group and groupoid;
+    every other table goes through one exact loop over the dict index.
+    Lemma for the accept: at (i, j) let d count the x*y' = i with y'*j
+    defined, h those with x*(y'*j) = i*j defined, f = |F(i*j)|.  Row x
+    fixes y', so split-left holds d distinct pairs (x, y'*j), h in the
+    fiber: h <= d, h <= f, both equal exactly when split-left is the
+    fiber; so too for their sums over all pairs.  Row x padded with n,
+    gathered at row y', is x*(y'*j) for all j.  Where it is row x*y' at
+    each defined x*y' (none is read elsewhere), the sums are those of
+    |F(z)|·|row z|, |row y|·|column y|, |F(z)|²: split-left is the fiber,
+    so is split-right, its converse.  The sweep serves the groups at the
+    carrier cap: deciding them by per-pair counts measured 5× slower on a
+    2-vCPU VM (Z128 39 → 205 ms, Z32 1.0 → 3.9 ms).
     """
-    n, rows, index = c.n, c.nabla.rows, None
+    n, rows = c.n, c.nabla.rows
     cells = [*zip(*[iter(rows)] * n)]  # no line repeats a value: as many as defined cells
     rowdef = [*map(int.bit_count, map(reduce, repeat(or_), cells))]
     if c.is_single_valued() and sum(rowdef) == n * n - rows.count(0) == sum(coldef := [
             *map(int.bit_count, map(reduce, repeat(or_), zip(*cells)))]):
         table = tuple(map((n, *range(n)).__getitem__, map(int.bit_length, rows)))  # x*y, or n
-        lines = [(*table[x * n:(x + 1) * n], n) for x in range(n)] + [(n,) * (n + 1)]
-        lines += islice(zip(*lines), n)  # the rows padded with n, the undefined row, the columns
-        sizes = [*map(Counter(table).get, range(n), repeat(0)), 0]
+        lines = [(*table[x * n:(x + 1) * n], n) for x in range(n)]
+        lines += islice(zip(*lines), n)  # the rows padded with n, then the columns
+        sizes = [*map(Counter(table).get, range(n), repeat(0))]
         if sum(map(mul, sizes, rowdef)) == sum(map(mul, rowdef, coldef)) == sum(
                 map(mul, sizes, sizes)) and all(map(
                     eq, chain.from_iterable(  # column y: row x at row y, where x*y is defined
                         map(itemgetter(*r), compress(lines, map(n.__ne__, col)))
-                        for r, col in zip(lines, lines[n + 1:])),
-                    map(lines.__getitem__, filter(n.__ne__, chain.from_iterable(lines[n + 1:]))))):
+                        for r, col in zip(lines, lines[n:])),
+                    map(lines.__getitem__, filter(n.__ne__, chain.from_iterable(lines[n:]))))):
             return Verdict(True)  # no sets built
-        violations = sorted({*_split_left_misses(lines[:n], sizes),
-                             *((i, j) for j, i in _split_left_misses(lines[n + 1:], sizes))})
-    else:
-        n, rows, cols, _, pairs = index = _pointwise_index(c)  # raises when multi-valued
-        # where i*j is undefined the fiber is empty, and split-left is empty
-        # unless some right factor yp of i has yp*j defined; split-right likewise
-        rights, lefts = ([frozenset(p[k] for p in ps) for ps in pairs] for k in (1, 0))
-        violations = []
-        for i, ri in enumerate(rows):
-            for j in range(n):
-                if j in ri:
-                    fiber, split_left, split_right = _sets_at(index, i, j)
-                    ok = fiber == split_left == split_right
-                else:
-                    ok = rights[i].isdisjoint(cols[j]) and lefts[j].isdisjoint(ri)
-                if not ok:
-                    violations.append((i, j))
+    n, rows, cols, _, pairs = index = _pointwise_index(c)  # raises when multi-valued
+    # where i*j is undefined the fiber is empty, and split-left is empty
+    # unless some right factor yp of i has yp*j defined; split-right likewise
+    rights, lefts = ([frozenset(p[k] for p in ps) for ps in pairs] for k in (1, 0))
+    violations = []
+    for i, ri in enumerate(rows):
+        for j in range(n):
+            if j in ri:
+                fiber, split_left, split_right = _sets_at(index, i, j)
+                ok = fiber == split_left == split_right
+            else:
+                ok = rights[i].isdisjoint(cols[j]) and lefts[j].isdisjoint(ri)
+            if not ok:
+                violations.append((i, j))
     if not violations:
         return Verdict(True)
     i, j = violations[0]
-    index = index or _pointwise_index(c)
     sets = (frozenset(divmod(p, n) for p in sorted(codes)) for codes in _sets_at(index, i, j))
     return Verdict(False, FroWitness(i, j, *sets), tuple(violations))

@@ -13,15 +13,14 @@ a carrier travel as relations from it.
 
 The right whisker (r ⊗ id) >> (id ⊗ s) is the one ⊗ kernel; a composite
 with r on the right of the ⊗ is read off it by a converse or a swap.  It
-yields blocks of rows, the k rows that one row of r produces, gathered from
+yields blocks of rows, the k rows that one row of r produces, joined from
 s's rows at the bit positions of r's rows, which ``Rel.positions`` decodes
-once per relation, on first use; the t-th bits of many rows are gathered in
-one call.  ``Rel.whisker_right`` chains the blocks.
+once per relation, on first use.  ``Rel.whisker_right`` chains the blocks.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat, zip_longest
+from itertools import chain, repeat
 from operator import itemgetter, lshift, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -129,10 +128,21 @@ class Rel:
         if k < 0 or m < 0 or self.cod * k != m * s.dom or (m and self.cod % m):
             raise ValueError(f"whisker mismatch: {self.dom}x{self.cod} with k={k}, m={m} "
                              f"then {s.dom}x{s.cod}")
+        if not k:
+            return iter(())  # no rows to read
         # row (a, j) joins s's row (b, j), moved to block x, over the bits (x, b)
-        # of row a, where B = cod / m; with k = 0 there are no rows to read
-        return _right_blocks(self.positions if k else (), self.cod // m if m else 0,
-                             k, s.rows, s.cod, m)
+        # of row a, where B = cod / m
+        width, srows, cod, zero = m and self.cod // m, s.rows, s.cod, (0,) * k
+
+        def join(ps: tuple[int, ...]) -> tuple[int, ...]:
+            block = zero
+            for p in ps:
+                x, b = divmod(p, width)
+                part = srows[b * k:(b + 1) * k]
+                part = map(lshift, part, repeat(x * cod)) if x else part
+                block = tuple(part) if block is zero else tuple(map(or_, block, part))
+            return block
+        return map(join, self.positions)
 
     def is_mono(self) -> bool:
         """Whether the direct-image map on subsets is injective.
@@ -165,29 +175,6 @@ def _getter(indices: tuple[int, ...]) -> Callable[[Sequence], tuple]:
         i, = indices
         return lambda seq: (seq[i],)
     return itemgetter(*indices) if indices else lambda seq: ()
-
-
-def _right_blocks(positions, width: int, k: int, srows, cod: int,
-                  m: int) -> Iterator[tuple[int, ...]]:
-    if not positions:
-        return iter(())
-    zero = (0,) * k
-    if m == 1 and max(map(len, positions)) <= 1:
-        # each block is one part of s, unmoved, or the zero block
-        firsts = next(zip_longest(*positions, fillvalue=width), (width,) * len(positions))
-        parts = {b: srows[b * k:(b + 1) * k] for b in set(firsts)}
-        parts[width] = zero
-        return iter(_getter(firsts)(parts))
-
-    def join(ps: tuple[int, ...]) -> tuple[int, ...]:
-        block = zero
-        for p in ps:
-            x, b = divmod(p, width)
-            part = srows[b * k:(b + 1) * k]
-            part = map(lshift, part, repeat(x * cod)) if x else part
-            block = tuple(part) if block is zero else tuple(map(or_, block, part))
-        return block
-    return map(join, positions)
 
 
 def identity(n: int) -> Rel:

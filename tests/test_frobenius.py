@@ -367,13 +367,10 @@ def test_pointwise_on_small_cancellative_tables(n, triples):
 @pytest.mark.parametrize("n, triples", WIDE_SLICES)
 def test_non_cancellative_tables_take_the_exact_loop(monkeypatch, n, triples):
     # max, left-zero and constant tables repeat a value in a row: the
-    # counting route does not hold for them, so each builds the dict index
-    # once, passing or failing, and never counts
-    def refuse(*args):
-        raise AssertionError("counting route run")
+    # counting sweep does not hold for them, so each builds the dict index
+    # once, passing or failing
     built = []
     index = relfrob.frobenius._pointwise_index
-    monkeypatch.setattr(relfrob.frobenius, "_split_left_misses", refuse)
     monkeypatch.setattr(relfrob.frobenius, "_pointwise_index",
                         lambda c: built.append(c.n) or index(c))
     v = check_fro_pointwise(candidate(n, triples, [0]))
@@ -390,8 +387,8 @@ def test_multi_valued_error_names_the_pair():
 
 def test_cancellative_tables_build_sets_only_at_the_witness(monkeypatch):
     # a passing group or union of groups is decided by one sweep of gathers
-    # and three sums; a failing one builds the dict index and the sets once,
-    # at its witness pair
+    # and three sums, with no sets built; a failing one goes through the
+    # exact loop, which builds the dict index once
     def refuse(*args):
         raise AssertionError("sets built")
     for name in ("_sets_at", "_pointwise_index"):
@@ -400,13 +397,13 @@ def test_cancellative_tables_build_sets_only_at_the_witness(monkeypatch):
         rep = verify_structure(build_biproduct(parse_structure_spec(spec)))
         assert rep.is_special_frobenius and rep.frobenius_pointwise == Verdict(True)
     monkeypatch.undo()
-    sets_at = relfrob.frobenius._sets_at
-    pairs = []
-    monkeypatch.setattr(relfrob.frobenius, "_sets_at",
-                        lambda index, i, j: pairs.append((i, j)) or sets_at(index, i, j))
+    index = relfrob.frobenius._pointwise_index
+    built = []
+    monkeypatch.setattr(relfrob.frobenius, "_pointwise_index",
+                        lambda c: built.append(c.n) or index(c))
     c = build_biproduct(parse_structure_spec("6"))
     v = check_fro_pointwise(candidate(6, c.triples()[1:], c.bot))
-    assert not v.ok and pairs == [(v.witness.i, v.witness.j)]
+    assert not v.ok and built == [6]
 
 
 # direct-sum summands: groups, and the pair groupoid on two objects, each as

@@ -132,7 +132,7 @@ def test_whiskers_are_tensor_then_compose(a, b, c, k, data):
 
 def partial_function_between(dom: int, cod: int) -> st.SearchStrategy[Rel]:
     """Relations whose rows have at most one bit, the tables the checker
-    reads most: the whiskers gather all their rows at once."""
+    reads most: each block of a whisker is one part of s, or zero."""
     value = st.integers(-1, cod - 1)  # -1: no bit
     return st.lists(value, min_size=dom, max_size=dom).map(
         lambda vs: Rel(dom, cod, [1 << v if v >= 0 else 0 for v in vs]))
