@@ -16,6 +16,9 @@ with r on the right of the ⊗ is read off it by a converse or a swap.  It
 yields blocks of rows, the k rows that one row of r produces, joined from
 s's rows at the bit positions of r's rows, which ``Rel.positions`` decodes
 once per relation, on first use.  ``Rel.whisker_right`` chains the blocks.
+A relation's converse is likewise computed once and kept; the builder
+``Rel._with_converse`` sets the converse's bits in the loop that sets the
+relation's.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class _Decoded(dict):
 class Rel:
     """A binary relation between {0..dom-1} and {0..cod-1}."""
 
-    __slots__ = ("dom", "cod", "rows", "_positions")
+    __slots__ = ("dom", "cod", "rows", "_positions", "_converse")
 
     def __init__(self, dom: int, cod: int, rows: Iterable[int]):
         rows = tuple(rows)
@@ -59,23 +62,40 @@ class Rel:
         self.dom = dom
         self.cod = cod
         self.rows = rows
-        self._positions = None
+        self._positions = self._converse = None
 
     @classmethod
     def _unchecked(cls, dom: int, cod: int, rows: tuple[int, ...]) -> "Rel":
-        """Wrap rows already known to fit dom x cod; for this module's operations."""
+        """Wrap rows already known to fit dom x cod, for the package's builders."""
         r = object.__new__(cls)
-        r.dom, r.cod, r.rows, r._positions = dom, cod, rows, None
+        r.dom, r.cod, r.rows, r._positions, r._converse = dom, cod, rows, None, None
+        return r
+
+    @classmethod
+    def _with_converse(cls, dom: int, cod: int, sources: Iterable[int],
+                       targets: Iterable[int]) -> "Rel":
+        """The pairs (sources[k], targets[k]), already known to fit dom x cod:
+        one loop sets the bits of the rows and of the converse's rows, and
+        the converse is kept for ``converse``."""
+        rows, cols = [0] * dom, [0] * cod
+        for a, b in zip(sources, targets):
+            rows[a] |= 1 << b
+            cols[b] |= 1 << a
+        r = cls._unchecked(dom, cod, tuple(rows))
+        r._converse = cls._unchecked(cod, dom, tuple(cols))
         return r
 
     @classmethod
     def from_pairs(cls, dom: int, cod: int, pairs: Iterable[tuple[int, int]]) -> "Rel":
-        rows = [0] * dom
-        for a, b in pairs:
-            if not (0 <= a < dom and 0 <= b < cod):
-                raise ValueError(f"pair ({a}, {b}) outside {dom} x {cod}")
-            rows[a] |= 1 << b
-        return cls(dom, cod, rows)
+        if dom < 0 or cod < 0:
+            raise ValueError(f"negative carrier size: dom={dom}, cod={cod}")
+        sources, targets = [*zip(*pairs)] or ((), ())
+        if sources and (min(sources) < 0 or max(sources) >= dom
+                        or min(targets) < 0 or max(targets) >= cod):
+            a, b = next((a, b) for a, b in zip(sources, targets)
+                        if not (0 <= a < dom and 0 <= b < cod))
+            raise ValueError(f"pair ({a}, {b}) outside {dom} x {cod}")
+        return cls._with_converse(dom, cod, sources, targets)
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((a, b) for a, row in enumerate(self.rows) for b in bits(row))
@@ -105,12 +125,15 @@ class Rel:
     __rshift__ = then
 
     def converse(self) -> "Rel":
-        out = [0] * self.cod
-        for a, ps in enumerate(self.positions):
-            bit = 1 << a
-            for b in ps:
-                out[b] |= bit
-        return Rel._unchecked(self.cod, self.dom, tuple(out))
+        """Computed on first use, then kept, unless the builder kept it."""
+        if self._converse is None:
+            out = [0] * self.cod
+            for a, ps in enumerate(self.positions):
+                bit = 1 << a
+                for b in ps:
+                    out[b] |= bit
+            self._converse = Rel._unchecked(self.cod, self.dom, tuple(out))
+        return self._converse
 
     def tensor(self, other: "Rel") -> "Rel":
         """Parallel pairing on flattened products: (self ⊗ id) >> (id ⊗ other)."""

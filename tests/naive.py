@@ -6,14 +6,17 @@ than speed, so it can act as an independent check on the bitset code.
 ``search`` is a cell-by-cell table search, a different algorithm from the
 skeleton-first ``brute_force_search`` and the reference for its results.
 ``quotient`` keys every table by all n! relabelings, the reference for the
-colour-refined ``quotient_by_iso``.
+colour-refined ``quotient_by_iso``.  ``parse_structure`` checks and converts
+a structure text line by line, the reference for the bulk parser.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from relfrob import BudgetExceededError, FrobeniusCandidate, satisfies_axioms
+from relfrob import (BudgetExceededError, FrobeniusCandidate, Rel, StructureParseError,
+                     satisfies_axioms)
+from relfrob.frobenius import CARRIER_LIMIT, quoted
 
 
 def compose(r: frozenset, s: frozenset) -> frozenset:
@@ -203,3 +206,58 @@ def quotient(cands) -> list:
                   for s in permutations(range(cand.n)))
         classes[key] = classes.get(key, 0) + 1
     return sorted(classes.items())
+
+
+def parse_structure(text: str) -> FrobeniusCandidate:
+    n: int | None = None
+    triples: list[tuple[int, int, int, int]] = []  # (line, x, y, z)
+    units: list[tuple[int, list[int]]] = []  # (line, values of one bot line)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        field, *rest = line.split()
+        try:
+            values = [int(tok) for tok in rest]
+        except ValueError:
+            raise StructureParseError(lineno, f"non-integer token in {quoted(field)} line")
+        if field == "n":
+            if n is not None:
+                raise StructureParseError(lineno, "repeated n line")
+            if len(values) != 1 or values[0] < 0:
+                raise StructureParseError(lineno, "n takes one non-negative integer")
+            if values[0] > CARRIER_LIMIT:
+                raise StructureParseError(
+                    lineno, f"carrier size {values[0]} exceeds the limit {CARRIER_LIMIT}")
+            n = values[0]
+        elif field == "nabla":
+            if len(values) != 3:
+                raise StructureParseError(lineno, "nabla takes three integers x y z")
+            if len(triples) == CARRIER_LIMIT ** 2:
+                raise StructureParseError(
+                    lineno, f"more than {CARRIER_LIMIT ** 2} nabla lines")
+            triples.append((lineno, *values))
+        elif field == "bot":
+            units.append((lineno, values))
+        else:
+            raise StructureParseError(lineno, f"unknown field {quoted(field)}")
+
+    if n is None:
+        raise StructureParseError(0, "missing n line")
+    rows = [0] * (n * n)
+    for lineno, x, y, z in triples:
+        if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
+            raise StructureParseError(lineno, f"triple ({x}, {y}, {z}) outside carrier 0..{n - 1}")
+        if rows[x * n + y] >> z & 1:
+            raise StructureParseError(lineno, f"duplicate triple ({x}, {y}, {z})")
+        rows[x * n + y] |= 1 << z
+    bot: set[int] = set()
+    for lineno, values in units:
+        for e in values:
+            if not 0 <= e < n:
+                raise StructureParseError(lineno, f"unit element {e} outside carrier 0..{n - 1}")
+            if e in bot:
+                raise StructureParseError(lineno, f"duplicate unit element {e}")
+            bot.add(e)
+    return FrobeniusCandidate(n, Rel(n * n, n, rows), bot)

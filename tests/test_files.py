@@ -5,10 +5,12 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import naive
 from conftest import candidate, product_of, relational_tables
-from relfrob import (SearchConfig, StructureParseError, brute_force_search,
+from relfrob import (Rel, SearchConfig, StructureParseError, brute_force_search,
                      load_structure, parse_structure, render_structure,
                      save_structure)
 from relfrob.frobenius import CARRIER_LIMIT
@@ -130,3 +132,83 @@ def test_one_long_line_parses_in_memory_proportional_to_it(text, line, fragment)
         tracemalloc.stop()
     assert info.value.line == line and fragment in str(info.value)
     assert peak <= 12 * len(text) + 2 ** 20, f"peak {peak} B for a {len(text)} B text"
+
+
+def test_nabla_lines_past_the_cap_fail_in_memory_proportional_to_the_text():
+    # four times the cap of nabla lines: the first line past the cap fails,
+    # and no line after it is split or converted
+    cap = CARRIER_LIMIT ** 2
+    text = f"n {CARRIER_LIMIT}\n" + "".join(
+        f"nabla {k // CARRIER_LIMIT % CARRIER_LIMIT} {k % CARRIER_LIMIT} {k // cap}\n"
+        for k in range(4 * cap))
+    tracemalloc.start()
+    try:
+        with pytest.raises(StructureParseError) as info:
+            parse_structure(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"line {cap + 2}: more than {cap} nabla lines"
+    assert peak <= 8 * len(text), f"peak {peak} B for a {len(text)} B text"
+
+
+def test_nabla_words_past_the_cap_in_a_comment_parse_as_without_it(z3):
+    # more nabla words than the cap walks the text line by line first; a
+    # valid text then parses as it does without them
+    text = render_structure(z3)
+    again = parse_structure("# " + "nabla " * (CARRIER_LIMIT ** 2 + 1) + "\n" + text)
+    assert again == z3 and again.delta == z3.delta
+
+
+_TOKENS = st.one_of(st.integers(-1, 5).map(str),
+                    st.sampled_from(["x", "07", "+1", "-0", "1_0", "1.0", "nabla", "bot", "n"]))
+
+
+def _line(field: str, tokens, sizes=st.integers(0, 5)) -> st.SearchStrategy[str]:
+    return sizes.flatmap(lambda k: st.lists(tokens, min_size=k, max_size=k)).map(
+        lambda ts: " ".join([field, *ts]))
+
+
+@st.composite
+def structure_texts(draw) -> str:
+    """Texts a file might hold, valid or not: triples in and out of range,
+    repeated ones, units, comments, blank lines, a missing or repeated n,
+    non-integer tokens, lines of the wrong length, unknown fields, and LF
+    or CRLF line ends.  Half of them break no check of a single line."""
+    n = draw(st.integers(0, 4))
+    inside = st.integers(0, max(n - 1, 0)).map(str)
+    value = st.one_of(inside, inside, inside, st.sampled_from(["-1", str(n)]))  # outside
+    kinds = [_line("nabla", value, st.just(3))] * 6 + [
+        _line("bot", value, st.integers(0, 3)), st.sampled_from(["", "  ", "# nabla 0 0 0"])]
+    if draw(st.booleans()):
+        kinds += [_line("nabla", _TOKENS), _line("bot", _TOKENS), _line("n", _TOKENS),
+                  st.sampled_from(["wat 1", "nablax 0 0 0", "\tnabla\t0  0 0", "nabla", "bot"])]
+    lines = draw(st.lists(st.one_of(kinds), max_size=12))
+    if draw(st.integers(0, 3)):
+        lines.insert(draw(st.integers(0, len(lines))), f"n {n}")
+    lines = [line + " # nabla 1 x" if line and draw(st.booleans()) else line for line in lines]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400)
+@given(structure_texts())
+@example("n 2\nbot -1\n")
+@example("n 2\nbot 1\nbot 0 1\nnabla 0 0 0\n")
+@example("n 2\nnabla 0 -1 0\n")
+@example("n 2\nnabla 1 -1 0\n")
+@example("n 2\nnabla 0 0 0 1\nnabla 0 1\n")
+@example("n 2\nnabla 0 0 0\nnabla 0 0 0\nnabla 2 0 0\n")
+@example("n 2\nnabla 2 0 0\nnabla 0 0 0\nnabla 0 0 0\n")
+@example("nabla 0 0 0 # x\r\nbot 0\r\nn 1 # n 2\r\n")
+def test_parse_matches_the_line_by_line_reference(text):
+    try:
+        want = naive.parse_structure(text)
+    except StructureParseError as error:
+        with pytest.raises(StructureParseError) as info:
+            parse_structure(text)
+        assert (info.value.line, str(info.value)) == (error.line, str(error))
+        return
+    got = parse_structure(text)
+    assert got == want
+    assert got.delta == Rel(got.nabla.dom, got.nabla.cod, got.nabla.rows).converse()
