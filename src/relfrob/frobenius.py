@@ -33,9 +33,10 @@ the candidate; ``satisfies_axioms`` stops at the first block that differs
 and never runs the pointwise route.  That route shares no code with the
 bit rows or the slices: where no row or column repeats a defined value, a
 sweep of gathered rows of the product table may accept the table; every
-table it does not accept is decided from dicts of products indexed by
-value, each pair (x, y) coded as x·n + y.  Its witness decodes the three
-code sets of the first violating pair, in code order.
+table it does not accept is decided by one exact loop over the same rows
+and the pairs listed by value, each pair (x, y) coded as x·n + y.  Its
+witness decodes the three code sets of the first violating pair, in code
+order.
 
 Classical structures in Rel are direct sums of groups, so the routes that
 would read n³ entries skip what a lemma, proved where used, shows empty.
@@ -372,51 +373,27 @@ def satisfies_axioms(c: FrobeniusCandidate, commutative: bool = True) -> bool:
     return all(next(route(c), None) is None for route in routes)
 
 
-def _pointwise_index(c: FrobeniusCandidate) -> tuple:
-    """The partial operation, with each pair (x, y) coded as x·n + y.
-
-    rows[x] maps y to (x*y)·n and cols[y] maps x to x*y.  fibers[z] is the
-    set of codes of the pairs multiplying to z, and fibers[n] is empty;
-    pairs[z] lists the same pairs as (x, y), in code order.
-    """
-    n = c.n
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
-    cols: list[dict[int, int]] = [{} for _ in range(n)]
-    codes: list[list[int]] = [[] for _ in range(n + 1)]
-    table = c.nabla.rows
-    for p, row in zip(compress(count(), table), filter(None, table)):  # defined cells
-        x, y = divmod(p, n)
-        if row & (row - 1):
-            raise ValueError(
-                f"multiplication is not single-valued at ({x}, {y}): "
-                f"values {sorted(bits(row))}")
-        z = row.bit_length() - 1
-        rows[x][y], cols[y][x] = z * n, z
-        codes[z].append(p)
-    return (n, rows, cols, [frozenset(ps) for ps in codes],
-            [[divmod(p, n) for p in ps] for ps in codes])
-
-
 def _sets_at(index: tuple, i: int, j: int) -> tuple[frozenset, set, set]:
     # each set costs the size of one fiber, not a scan of the table
-    n, rows, cols, fibers, pairs = index
-    ri, cj = rows[i], cols[j]
-    fiber = fibers[ri[j] // n] if j in ri else fibers[n]
-    split_left = {x * n + cj[yp] for x, yp in pairs[i] if yp in cj}  # (x, yp*j), x*yp = i
-    split_right = {ri[xp] + y for xp, y in pairs[j] if xp in ri}     # (i*xp, y), xp*y = j
-    return fiber, split_left, split_right
+    lines, fibers, pairs = index
+    n, li = len(pairs) - 1, lines[i]
+    split_left = {x * n + z for x, yp in pairs[i] if (z := lines[yp][j]) < n}  # (x, yp*j)
+    split_right = {z * n + y for xp, y in pairs[j] if (z := li[xp]) < n}      # (i*xp, y)
+    return fibers[li[j]], split_left, split_right
 
 
 def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
     """Interchange law evaluated pointwise on the partial operation.
 
     Raises ValueError when the multiplication is not single-valued, naming
-    the offending input pair.  The verdict mirrors the composite check
-    exactly: same witness, same violation tuple.
+    the first offending input pair.  The verdict mirrors the composite
+    check exactly: same witness, same violation tuple.
 
-    A sweep of gathers and three sums accepts a passing table on which no
-    row or column repeats a defined value, as every group and groupoid;
-    every other table goes through one exact loop over the dict index.
+    nabla is decoded once, into the product table: x*y, or n where
+    undefined.  A sweep of gathers of its rows and three sums accepts a
+    passing table on which no row or column repeats a defined value, as
+    every group and groupoid; every other table goes through one exact
+    loop, which reads the same rows and lists the pairs of each value.
     Lemma for the accept: at (i, j) let d count the x*y' = i with y'*j
     defined, h those with x*(y'*j) = i*j defined, f = |F(i*j)|.  Row x
     fixes y', so split-left holds d distinct pairs (x, y'*j), h in the
@@ -438,29 +415,39 @@ def check_fro_pointwise(c: FrobeniusCandidate) -> Verdict:
     exactly when some x' with i*x' defined has j among its values.
     """
     n, rows = c.n, c.nabla.rows
-    cells = [*zip(*[iter(rows)] * n)]  # no line repeats a value: as many as defined cells
-    rowdef = [*map(int.bit_count, map(reduce, repeat(or_), cells))]
-    if c.is_single_valued() and sum(rowdef) == n * n - rows.count(0) == sum(coldef := [
-            *map(int.bit_count, map(reduce, repeat(or_), zip(*cells)))]):
-        table = tuple(map((n, *range(n)).__getitem__, map(int.bit_length, rows)))  # x*y, or n
-        lines = [(*table[x * n:(x + 1) * n], n) for x in range(n)]
-        lines += islice(zip(*lines), n)  # the rows padded with n, then the columns
+    if not c.is_single_valued():
+        p = next(p for p, row in enumerate(rows) if row & (row - 1))
+        raise ValueError(f"multiplication is not single-valued at {divmod(p, n)}: "
+                         f"values {[*bits(rows[p])]}")
+    table = tuple(map([n, *range(n)].__getitem__, map(int.bit_length, rows)))  # x*y, or n
+    lines = [(*table[x * n:(x + 1) * n], n) for x in range(n)]  # the rows padded with n
+    rowdef = [*map(int.bit_count, c.row_values)]  # values per row, then per column
+    if sum(rowdef) == n * n - rows.count(0) == sum(coldef := [  # no line repeats a value
+            *map(int.bit_count, map(reduce, repeat(or_), zip(*[iter(c.swapped.rows)] * n)))]):
+        cols = [*islice(zip(*lines), n)]
         sizes = [*map(Counter(table).get, range(n), repeat(0))]
         if sum(map(mul, sizes, rowdef)) == sum(map(mul, rowdef, coldef)) == sum(
                 map(mul, sizes, sizes)) and all(map(
                     eq, chain.from_iterable(  # column y: row x at row y, where x*y is defined
                         map(itemgetter(*r), compress(lines, map(n.__ne__, col)))
-                        for r, col in zip(lines, lines[n:])),
-                    map(lines.__getitem__, filter(n.__ne__, chain.from_iterable(lines[n:]))))):
+                        for r, col in zip(lines, cols)),
+                    map(lines.__getitem__, filter(n.__ne__, chain.from_iterable(cols))))):
             return Verdict(True)  # no sets built
-    n, rows, _, _, pairs = index = _pointwise_index(c)  # raises when multi-valued
-    defined = [sum(map((1).__lshift__, ri)) for ri in rows]  # row i's defined columns
+    # pairs[z]: the (x, y) with x*y = z in code order, and ys[x]: row x's defined columns
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    ys: list[list[int]] = [[] for _ in range(n)]
+    for p, z in zip(compress(count(), rows), compress(table, rows)):
+        x, y = xy = divmod(p, n)
+        pairs[z].append(xy)
+        ys[x].append(y)
+    index = lines, [frozenset(x * n + y for x, y in ps) for ps in pairs], pairs
+    defined = [sum(map((1).__lshift__, yi)) for yi in ys]
     violations = []
-    for i, ri in enumerate(rows):
+    for i, yi in enumerate(ys):
         mask = reduce(or_, map(defined.__getitem__, map(itemgetter(1), pairs[i])), 0)
-        mask |= reduce(or_, map(c.row_values.__getitem__, ri), 0)
+        mask |= reduce(or_, map(c.row_values.__getitem__, yi), 0)
         bad = [*bits(mask & ~defined[i])]
-        for j in ri:
+        for j in yi:
             fiber, split_left, split_right = _sets_at(index, i, j)
             if not fiber == split_left == split_right:
                 bad.append(j)

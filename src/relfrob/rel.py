@@ -55,14 +55,10 @@ class Rel:
             raise ValueError(f"negative carrier size: dom={dom}, cod={cod}")
         if len(rows) != dom:
             raise ValueError(f"expected {dom} rows, got {len(rows)}")
-        full = (1 << cod) - 1
-        if rows and (min(rows) < 0 or max(rows) > full):
-            a = next(a for a, row in enumerate(rows) if row < 0 or row > full)
+        if rows and (min(rows) < 0 or max(rows) >> cod):
+            a = next(a for a, row in enumerate(rows) if row < 0 or row >> cod)
             raise ValueError(f"row {a} has bits outside 0..{cod - 1}")
-        self.dom = dom
-        self.cod = cod
-        self.rows = rows
-        self._positions = self._converse = None
+        self.dom, self.cod, self.rows, self._positions, self._converse = dom, cod, rows, None, None
 
     @classmethod
     def _unchecked(cls, dom: int, cod: int, rows: tuple[int, ...]) -> "Rel":
@@ -201,7 +197,9 @@ def _getter(indices: tuple[int, ...]) -> Callable[[Sequence], tuple]:
 
 
 def identity(n: int) -> Rel:
-    return Rel(n, n, (1 << a for a in range(n)))
+    if n < 0:
+        raise ValueError(f"negative carrier size: dom={n}, cod={n}")
+    return Rel._unchecked(n, n, tuple(map((1).__lshift__, range(n))))
 
 
 def vector(n: int, elems: Iterable[int]) -> Rel:
@@ -211,4 +209,6 @@ def vector(n: int, elems: Iterable[int]) -> Rel:
         if not 0 <= e < n:
             raise ValueError(f"element {e} outside 0..{n - 1}")
         mask |= 1 << e
-    return Rel(1, n, (mask,))
+    if n < 0:
+        raise ValueError(f"negative carrier size: dom=1, cod={n}")
+    return Rel._unchecked(1, n, (mask,))

@@ -377,6 +377,13 @@ def test_search_carrier_cap():
         brute_force_search(SearchConfig(7))
 
 
+def test_negative_carriers_are_rejected():
+    for call in (enumerate_classical_structures, enumerate_special_frobenius,
+                 lambda n: brute_force_search(SearchConfig(n))):
+        with pytest.raises(ValueError, match="carrier size -1 is negative"):
+            call(-1)
+
+
 def test_search_budget():
     with pytest.raises(BudgetExceededError) as info:
         brute_force_search(SearchConfig(3, budget=5))

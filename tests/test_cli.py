@@ -65,6 +65,14 @@ def test_verify_fails_max_monoid(max_monoid_file, capsys):
     assert "fails the axioms above" in out
 
 
+def test_verify_skips_the_pointwise_route_on_a_multi_valued_table(tmp_path, capsys):
+    path = tmp_path / "multi.rel"
+    path.write_text(Z2_TEXT + "nabla 1 1 1\n")  # 1*1 takes the values 0 and 1
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "frobenius-pointwise  skipped (multiplication is not single-valued)\n" in out
+
+
 def test_verify_noncommutative_structure_fails(tmp_path, capsys):
     path = tmp_path / "s3.rel"
     save_structure(str(path), build_biproduct(StructureSpec((BUILTIN_NONABELIAN["S3"],))))
@@ -154,6 +162,12 @@ def test_enumerate_over_the_special_bound(capsys):
     code, _, err = run(capsys, "enumerate", "--n", "9", "--special")
     assert code == 2
     assert "bound" in err
+
+
+def test_enumerate_a_negative_carrier_exits_2(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: carrier size -1 is negative\n"
 
 
 def test_brute_force_machine(capsys):
@@ -364,6 +378,18 @@ def test_cross_validate_roundtrip(capsys):
     code, out, _ = run(capsys, "cross-validate", "--n", "2")
     assert code == 0
     assert out.strip().endswith("2 classes match 2 enumerated structures")
+
+
+def test_cross_validate_reports_a_mismatch(capsys, monkeypatch):
+    # an enumeration that drops Z3 disagrees with the search
+    enumerated = relfrob.classify.enumerate_classical_structures
+    monkeypatch.setattr(relfrob.classify, "enumerate_classical_structures",
+                        lambda n: enumerated(n)[1:])
+    result = relfrob.classify.cross_validate(3)
+    assert not result.ok and result.message.startswith("mismatch: search found")
+    code, out, _ = run(capsys, "cross-validate", "--n", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == "MISMATCH: " + result.message
 
 
 def test_cross_validate_at_the_search_bound_needs_no_budget(capsys):

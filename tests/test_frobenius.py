@@ -32,6 +32,13 @@ def test_candidate_validation():
         FrobeniusCandidate.from_triples(-1, [], [])
 
 
+def test_candidate_rejects_a_multiplication_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="multiplication must be 4x2, got 3x2"):
+        FrobeniusCandidate(2, relfrob.Rel(3, 2, [0, 0, 0]), [])
+    with pytest.raises(ValueError, match="multiplication must be 4x2, got 4x3"):
+        FrobeniusCandidate(2, relfrob.Rel(4, 3, [0] * 4), [])
+
+
 def test_comultiplication_is_converse_by_construction(z3):
     assert z3.delta == z3.nabla.converse()
 
@@ -364,18 +371,39 @@ def test_pointwise_on_small_cancellative_tables(n, triples):
         assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
 
 
+class _CountedRows:
+    """A relation's stand-in that counts the reads of its rows."""
+
+    def __init__(self, rel):
+        self.rel, self.reads = rel, 0
+
+    @property
+    def rows(self):
+        self.reads += 1
+        return self.rel.rows
+
+
+def _sets_built(monkeypatch, c):
+    """check_fro_pointwise(c), the pairs (i, j) at which it built the three
+    sets, in call order, and how often it read nabla's rows."""
+    built, sets_at = [], relfrob.frobenius._sets_at
+    monkeypatch.setattr(relfrob.frobenius, "_sets_at",
+                        lambda index, i, j: built.append((i, j)) or sets_at(index, i, j))
+    c.nabla = nabla = _CountedRows(c.nabla)
+    return check_fro_pointwise(c), built, nabla.reads
+
+
 @pytest.mark.parametrize("n, triples", WIDE_SLICES)
 def test_non_cancellative_tables_take_the_exact_loop(monkeypatch, n, triples):
     # max, left-zero and constant tables repeat a value in a row: the
-    # counting sweep does not hold for them, so each builds the dict index
-    # once, passing or failing
-    built = []
-    index = relfrob.frobenius._pointwise_index
-    monkeypatch.setattr(relfrob.frobenius, "_pointwise_index",
-                        lambda c: built.append(c.n) or index(c))
-    v = check_fro_pointwise(candidate(n, triples, [0]))
+    # counting sweep does not hold for them, so the exact loop builds the
+    # sets at every defined pair, in code order, and once more at the
+    # witness, passing or failing; nabla's rows are read and decoded once
+    v, built, reads = _sets_built(monkeypatch, candidate(n, triples, [0]))
     assert (v.ok, v.witness, v.violations) == _reference_interchange(n, triples)
-    assert built == [n]
+    witness = [] if v.ok else [(v.witness.i, v.witness.j)]
+    assert built == [(x, y) for x, y, _ in triples] + witness
+    assert reads == 1
 
 
 def test_multi_valued_error_names_the_pair():
@@ -388,22 +416,17 @@ def test_multi_valued_error_names_the_pair():
 def test_cancellative_tables_build_sets_only_at_the_witness(monkeypatch):
     # a passing group or union of groups is decided by one sweep of gathers
     # and three sums, with no sets built; a failing one goes through the
-    # exact loop, which builds the dict index once
-    def refuse(*args):
-        raise AssertionError("sets built")
-    for name in ("_sets_at", "_pointwise_index"):
-        monkeypatch.setattr(relfrob.frobenius, name, refuse)
+    # exact loop, which builds sets at its defined pairs only, then at the
+    # witness; either way nabla's rows are read and decoded once
     for spec in ("6", "S3;2", "2;2;2"):
         rep = verify_structure(build_biproduct(parse_structure_spec(spec)))
         assert rep.is_special_frobenius and rep.frobenius_pointwise == Verdict(True)
-    monkeypatch.undo()
-    index = relfrob.frobenius._pointwise_index
-    built = []
-    monkeypatch.setattr(relfrob.frobenius, "_pointwise_index",
-                        lambda c: built.append(c.n) or index(c))
-    c = build_biproduct(parse_structure_spec("6"))
-    v = check_fro_pointwise(candidate(6, c.triples()[1:], c.bot))
-    assert not v.ok and built == [6]
+        v, built, reads = _sets_built(monkeypatch, build_biproduct(parse_structure_spec(spec)))
+        assert (v, built, reads) == (Verdict(True), [], 1)
+    triples = build_biproduct(parse_structure_spec("6")).triples()[1:]  # 0*0 undefined
+    v, built, reads = _sets_built(monkeypatch, candidate(6, triples, [0]))
+    assert not v.ok and reads == 1
+    assert built == [(x, y) for x, y, _ in triples] + [(v.witness.i, v.witness.j)]
 
 
 # direct-sum summands: groups, and the pair groupoid on two objects, each as

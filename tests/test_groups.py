@@ -94,6 +94,11 @@ def test_group_spec_validates_table():
         GroupSpec(((0,), (1, 0)))
 
 
+def test_group_spec_rejects_an_entry_outside_its_table():
+    with pytest.raises(ValueError, match=r"entry \(1, 1\) = 2 is not an element"):
+        GroupSpec(((0, 1), (1, 2)))
+
+
 def test_builtin_tables_are_nonabelian_groups():
     assert set(BUILTIN_NONABELIAN) == {"S3", "D4", "Q8"}
     for name, g in BUILTIN_NONABELIAN.items():

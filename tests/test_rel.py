@@ -182,6 +182,19 @@ def test_vector_pairs():
         vector(2, [2])
 
 
+def test_identity_and_vector_reject_a_negative_carrier():
+    # both skip the constructor's row scan, so they check their sizes themselves
+    for n in range(6):
+        assert identity(n) == Rel(n, n, [1 << a for a in range(n)])
+        assert vector(n, range(0, n, 2)) == Rel(1, n, [sum(1 << e for e in range(0, n, 2))])
+    with pytest.raises(ValueError, match="negative carrier size"):
+        identity(-1)
+    with pytest.raises(ValueError, match="negative carrier size"):
+        vector(-1, [])
+    with pytest.raises(ValueError, match="element 0 outside"):
+        vector(-1, [0])
+
+
 def test_is_mono_examples():
     assert identity(3).is_mono()
     # two sources sharing the one target: {0} and {1} collide
