@@ -1,7 +1,9 @@
 """Derived data of a verified structure: elements, self-duality, blocks.
 
 The copyable subsets of a structure (its classical elements) are found by
-plain brute force over all subsets rather than by trusting any theorem.
+brute force over the subsets that hold exactly one unit, which the unit laws
+show are the only candidates; each still passes the definition's copy test,
+so no classification result is trusted.
 The comonoid subobjects are built from the same scan: a comonoid map splits
 row by row into copyable rows meeting the unit subset, so they are the
 monic m-tuples of classical elements.  ``decompose`` reads the block
@@ -69,11 +71,13 @@ def _require(c: FrobeniusCandidate, commutative: bool, what: str):
 
 
 def classical_elements(c: FrobeniusCandidate) -> list[frozenset[int]]:
-    """All copyable subsets, by brute force over the 2^n subsets.
+    """All copyable subsets, by brute force over the subsets with one unit.
 
     A subset passes when copying it yields exactly its square and it meets
-    the unit subset.  For a verified commutative structure these are
-    exactly the carriers of the group blocks, but nothing here assumes so.
+    the unit subset.  Only the subsets holding exactly one unit can pass
+    (see ``_classical_masks``), so |bot|*2^(n-|bot|) of them are tested.
+    For a verified commutative structure the passing ones are exactly the
+    carriers of the group blocks, but nothing here assumes so.
     """
     _check_scan_size(c.n)
     _require(c, commutative=True, what="classical_elements")
@@ -87,25 +91,42 @@ def _check_scan_size(n: int) -> None:
 
 
 def _classical_masks(c: FrobeniusCandidate) -> list[int]:
-    """Bit masks of the copyable subsets that meet the unit subset."""
+    """Bit masks of the copyable subsets that meet the unit subset, sorted.
+
+    Each such subset phi holds exactly one unit, by the unit laws that
+    ``_require`` has verified.  For units e != e', the left unit law gives
+    e*e' within {e'} and the right one e*e' within {e}, so distinct units
+    never compose.  Copying phi yields phi x phi, so every two points of
+    phi compose, and phi holds at most one unit; it meets the unit subset,
+    so exactly one.  Hence phi = {e} + S for a unit e and a set S of
+    non-units, and only these |bot|*2^(n-|bot|) subsets are copy-tested,
+    S walked by submask enumeration.
+    """
     n = c.n
     # fiber[z]: the pairs multiplying to z, as one n*n-bit mask
     fibers = c.delta.rows
     bot_mask = c.bot_vec.rows[0]
+    non_units = (1 << n) - 1 & ~bot_mask
     out = []
-    for phi in range(1, 1 << n):
-        copied = 0
-        square = 0
-        rest = phi
-        while rest:
-            low = rest & -rest
-            a = low.bit_length() - 1
-            rest ^= low
-            copied |= fibers[a]
-            square |= phi << (a * n)
-        if copied == square and phi & bot_mask:
-            out.append(phi)
-    return out
+    for e in bits(bot_mask):
+        s = non_units
+        while True:
+            phi = 1 << e | s
+            copied = 0
+            square = 0
+            rest = phi
+            while rest:
+                low = rest & -rest
+                a = low.bit_length() - 1
+                rest ^= low
+                copied |= fibers[a]
+                square |= phi << (a * n)
+            if copied == square:
+                out.append(phi)
+            if not s:
+                break
+            s = s - 1 & non_units
+    return sorted(out)
 
 
 def quantum_structure(c: FrobeniusCandidate) -> QuantumStructure:

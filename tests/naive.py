@@ -8,6 +8,8 @@ skeleton-first ``brute_force_search`` and the reference for its results.
 ``quotient`` keys every table by all n! relabelings, the reference for the
 colour-refined ``quotient_by_iso``.  ``parse_structure`` checks and converts
 a structure text line by line, the reference for the bulk parser.
+``classical_masks`` copy-tests all 2^n subsets, the reference for the scan
+over the subsets with one unit.
 """
 
 from __future__ import annotations
@@ -261,3 +263,25 @@ def parse_structure(text: str) -> FrobeniusCandidate:
                 raise StructureParseError(lineno, f"duplicate unit element {e}")
             bot.add(e)
     return FrobeniusCandidate(n, Rel(n * n, n, rows), bot)
+
+
+def classical_masks(c: FrobeniusCandidate) -> list[int]:
+    """Bit masks of the copyable subsets that meet the unit subset."""
+    n = c.n
+    # fiber[z]: the pairs multiplying to z, as one n*n-bit mask
+    fibers = c.delta.rows
+    bot_mask = c.bot_vec.rows[0]
+    out = []
+    for phi in range(1, 1 << n):
+        copied = 0
+        square = 0
+        rest = phi
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            rest ^= low
+            copied |= fibers[a]
+            square |= phi << (a * n)
+        if copied == square and phi & bot_mask:
+            out.append(phi)
+    return out

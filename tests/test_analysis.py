@@ -18,10 +18,12 @@ from relfrob import (AbelianGroupSpec, BUILTIN_NONABELIAN, DecompositionError,
                      Rel, SearchConfig, StructureSpec, brute_force_search,
                      build_biproduct, check_duality,
                      classical_elements, comonoid_subobjects, decompose,
-                     enumerate_special_frobenius, identity, is_partial_bijection,
+                     enumerate_classical_structures, enumerate_special_frobenius,
+                     identity, is_partial_bijection,
                      parse_structure_spec, quantum_structure, represent, star,
                      vector, verify_structure)
 from relfrob.analysis import ELEMENTS_CARRIER_LIMIT
+from test_classify import relabeled
 
 
 def built(text: str):
@@ -84,6 +86,49 @@ def test_classical_elements_match_reference_formula():
         assert classical_elements(c) == reference_classical_elements(c)
     for c in brute_force_search(SearchConfig(3)):
         assert classical_elements(c) == reference_classical_elements(c)
+
+
+@pytest.fixture(scope="module")
+def classical_structures() -> list:
+    """Every classical structure with n <= 12, as built and under one seeded
+    relabeling, and every commutative search result with n <= 5."""
+    rng = random.Random(24)
+    structures = []
+    for n in range(13):
+        for spec in enumerate_classical_structures(n):
+            c = build_biproduct(spec)
+            structures += [c, relabeled(rng, c)[0]]
+    return structures + [c for n in range(6) for c in brute_force_search(SearchConfig(n))]
+
+
+def test_classical_masks_match_the_all_subsets_scan(classical_structures):
+    # the scan over the subsets with one unit against the scan of all 2^n
+    for c in classical_structures:
+        if c.n <= 10:
+            assert verify_structure(c).is_classical
+            assert relfrob.analysis._classical_masks(c) == naive.classical_masks(c), c
+
+
+def test_distinct_units_never_compose(classical_structures):
+    # the lemma the subset scan rests on: e*e' lies within {e'} by the
+    # left unit law and within {e} by the right one
+    special = [build_biproduct(spec) for n in range(9) for spec in enumerate_special_frobenius(n)]
+    for c in classical_structures + special:
+        assert verify_structure(c).is_special_frobenius
+        for e, f in itertools.permutations(c.bot, 2):
+            assert not product_of(c, e, f), (c, e, f)
+
+
+def test_classical_elements_are_the_points_each_unit_fixes(classical_structures):
+    # the units lemma: in a classical structure, {x : e*x = x} is copyable
+    # for each unit e, and these are all the classical elements
+    for c in classical_structures:
+        fixed = [frozenset(x for x in range(c.n) if product_of(c, e, x) == {x})
+                 for e in c.bot]
+        for phi in fixed:
+            vec = vector(c.n, phi)
+            assert vec >> c.delta == vec.tensor(vec), (c, phi)
+        assert classical_elements(c) == sorted(fixed, key=sorted), c
 
 
 def test_classical_elements_preconditions(max_monoid):

@@ -73,6 +73,27 @@ def test_classical_counts_match_formula(n):
     assert len(enumerate_classical_structures(n)) == reference_classical_count(n)
 
 
+def euler_transform(a, n_max: int) -> list[int]:
+    """The coefficients of prod_m (1 - x^m)^(-a(m)) up to x^n_max: the
+    number of multisets of weighted objects, a(m) of them of weight m."""
+    c = [sum(d * a(d) for d in range(1, k + 1) if k % d == 0) for k in range(n_max + 1)]
+    b = [1]
+    for n in range(1, n_max + 1):
+        total = sum(c[k] * b[n - k] for k in range(1, n + 1))
+        assert total % n == 0
+        b.append(total // n)
+    return b
+
+
+def test_classical_counts_are_the_euler_transform_of_abelian_group_counts():
+    # a classical structure is a multiset of abelian groups, so the classes
+    # on n points are counted by the Euler transform of the number of
+    # abelian groups of each order, itself from partitions of prime exponents
+    counts = euler_transform(abelian_group_count, 24)
+    assert counts[:13] == [1, 1, 2, 3, 6, 8, 13, 18, 30, 41, 60, 82, 121]
+    assert [len(enumerate_classical_structures(n)) for n in range(25)] == counts
+
+
 def test_classical_enumeration_is_sorted_and_duplicate_free():
     for enumerate_specs, n in ((enumerate_classical_structures, 7),
                                (enumerate_classical_structures, 12),
