@@ -1,9 +1,9 @@
 """Derived data of a verified structure: elements, self-duality, blocks.
 
 The copyable subsets of a structure (its classical elements) are found by
-brute force over the subsets that hold exactly one unit, which the unit laws
-show are the only candidates; each still passes the definition's copy test,
-so no classification result is trusted.
+brute force over the subsets of the points one unit fixes, which the unit
+laws show are the only candidates; each still passes the definition's
+copy test, so no classification result is trusted.
 The comonoid subobjects are built from the same scan: a comonoid map splits
 row by row into copyable rows meeting the unit subset, so they are the
 monic m-tuples of classical elements.  ``decompose`` reads the block
@@ -71,11 +71,13 @@ def _require(c: FrobeniusCandidate, commutative: bool, what: str):
 
 
 def classical_elements(c: FrobeniusCandidate) -> list[frozenset[int]]:
-    """All copyable subsets, by brute force over the subsets with one unit.
+    """All copyable subsets, by brute force over the subsets of the points
+    one unit fixes.
 
     A subset passes when copying it yields exactly its square and it meets
-    the unit subset.  Only the subsets holding exactly one unit can pass
-    (see ``_classical_masks``), so |bot|*2^(n-|bot|) of them are tested.
+    the unit subset.  Only the subsets {e} + S, with e a unit and S among
+    the other points x with e*x = {x}, can pass (see ``_classical_masks``),
+    so 2^(|F_e|-1) of them are tested for each unit e.
     For a verified commutative structure the passing ones are exactly the
     carriers of the group blocks, but nothing here assumes so.
     """
@@ -93,23 +95,26 @@ def _check_scan_size(n: int) -> None:
 def _classical_masks(c: FrobeniusCandidate) -> list[int]:
     """Bit masks of the copyable subsets that meet the unit subset, sorted.
 
-    Each such subset phi holds exactly one unit, by the unit laws that
-    ``_require`` has verified.  For units e != e', the left unit law gives
-    e*e' within {e'} and the right one e*e' within {e}, so distinct units
-    never compose.  Copying phi yields phi x phi, so every two points of
-    phi compose, and phi holds at most one unit; it meets the unit subset,
-    so exactly one.  Hence phi = {e} + S for a unit e and a set S of
-    non-units, and only these |bot|*2^(n-|bot|) subsets are copy-tested,
-    S walked by submask enumeration.
+    Each such subset phi lies within the points one unit fixes, by the unit
+    laws that ``_require`` has verified.  Copying phi yields phi x phi, so
+    every two points of phi compose.  By the left unit law the products e*x
+    over the units e join to {x}, so e*x lies within {x}.  phi meets the
+    unit subset in some e, and each x in phi composes with e, so e*x = {x}:
+    phi lies within F_e = {x : e*x = {x}}.  F_e holds e, as e*e = {e}, and
+    no other unit e', as e*e' lies within {e'} by the left unit law and
+    within {e} by the right one, hence is empty.  So only phi = {e} + S,
+    with S a subset of F_e - {e}, are copy-tested, S walked by submask
+    enumeration: the sum over the units of 2^(|F_e|-1) subsets.
     """
     n = c.n
     # fiber[z]: the pairs multiplying to z, as one n*n-bit mask
     fibers = c.delta.rows
-    bot_mask = c.bot_vec.rows[0]
-    non_units = (1 << n) - 1 & ~bot_mask
+    products = c.nabla.rows
     out = []
-    for e in bits(bot_mask):
-        s = non_units
+    for e in bits(c.bot_vec.rows[0]):
+        # F_e - {e}: the x other than e with e*x exactly x
+        others = sum(1 << x for x in range(n) if x != e and products[e * n + x] == 1 << x)
+        s = others
         while True:
             phi = 1 << e | s
             copied = 0
@@ -125,7 +130,7 @@ def _classical_masks(c: FrobeniusCandidate) -> list[int]:
                 out.append(phi)
             if not s:
                 break
-            s = s - 1 & non_units
+            s = s - 1 & others
     return sorted(out)
 
 

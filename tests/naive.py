@@ -9,7 +9,7 @@ skeleton-first ``brute_force_search`` and the reference for its results.
 colour-refined ``quotient_by_iso``.  ``parse_structure`` checks and converts
 a structure text line by line, the reference for the bulk parser.
 ``classical_masks`` copy-tests all 2^n subsets, the reference for the scan
-over the subsets with one unit.
+over the subsets of the points one unit fixes.
 """
 
 from __future__ import annotations

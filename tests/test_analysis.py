@@ -102,7 +102,8 @@ def classical_structures() -> list:
 
 
 def test_classical_masks_match_the_all_subsets_scan(classical_structures):
-    # the scan over the subsets with one unit against the scan of all 2^n
+    # the scan over the subsets of the points one unit fixes against the
+    # scan of all 2^n
     for c in classical_structures:
         if c.n <= 10:
             assert verify_structure(c).is_classical
@@ -110,8 +111,9 @@ def test_classical_masks_match_the_all_subsets_scan(classical_structures):
 
 
 def test_distinct_units_never_compose(classical_structures):
-    # the lemma the subset scan rests on: e*e' lies within {e'} by the
-    # left unit law and within {e} by the right one
+    # the lemma that keeps the subset scan free of repeats: e*e' lies
+    # within {e'} by the left unit law and within {e} by the right one, so
+    # no unit fixes another
     special = [build_biproduct(spec) for n in range(9) for spec in enumerate_special_frobenius(n)]
     for c in classical_structures + special:
         assert verify_structure(c).is_special_frobenius
