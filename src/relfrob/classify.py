@@ -4,14 +4,15 @@ Two independent routes to the same inventory: ``enumerate_classical_structures``
 walks integer partitions and abelian-group choices per part, while
 ``brute_force_search`` picks the units and each element's left and right
 unit, fills in the composable cells of the multiplication table, and keeps
-whatever passes the axiom checker.  ``cross_validate`` runs both
-and insists they agree up to relabeling, which is the computational content
-of the classification: every commutative structure is a disjoint union of
-abelian groups.
+whatever passes the axiom checker.  ``cross_validate`` compares the
+classes of ``search_classes``, which fills one skeleton per relabeling type,
+with the enumeration: the computational content of the classification,
+every commutative structure is a disjoint union of abelian groups.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import (chain, combinations, combinations_with_replacement, permutations,
                        product)
@@ -33,15 +34,10 @@ def _structures_from_choices(n: int, choices_per_order) -> list[StructureSpec]:
     specs = []
     choices = {m: choices_per_order(m) for m in range(1, n + 1)}
     for part in partitions(n):
-        sizes: dict[int, int] = {}
-        for m in part:
-            sizes[m] = sizes.get(m, 0) + 1
-        per_size = []
-        for m, count in sorted(sizes.items()):
-            per_size.append(list(combinations_with_replacement(choices[m], count)))
+        per_size = [combinations_with_replacement(choices[m], count)
+                    for m, count in sorted(Counter(part).items())]
         for combo in product(*per_size):
-            blocks = tuple(b for group in combo for b in group)
-            specs.append(StructureSpec(blocks))
+            specs.append(StructureSpec(tuple(chain.from_iterable(combo))))
     return sorted(specs, key=StructureSpec.sort_key)
 
 
@@ -145,6 +141,12 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     lies in H(r(x), l(x)), so a non-empty H(e, e') makes H(e', e)
     non-empty.
     """
+    return sorted(_walk(cfg, [], lambda hom: True),
+                  key=lambda c: (c.triples(), tuple(sorted(c.bot))))
+
+
+def _walk(cfg: SearchConfig, found: list, wanted) -> list[FrobeniusCandidate]:
+    # the walk of brute_force_search; it fills a kept skeleton into found if wanted(hom)
     n, budget, commutative = cfg.n, cfg.budget, cfg.require_commutative
     if n < 0:
         raise ValueError(f"carrier size {n} is negative")
@@ -155,7 +157,6 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
         raise ValueError(f"budget {budget} is negative")
 
     table: list[list[int]] = []
-    found: list[FrobeniusCandidate] = []
     explored = 0
 
     def tried():
@@ -214,7 +215,7 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
                     hom: dict[tuple[int, int], list[int]] = {}
                     for x in range(n):
                         hom.setdefault((l[x], r[x]), []).append(x)
-                    if any((e2, e) not in hom for e, e2 in hom):
+                    if any((e2, e) not in hom for e, e2 in hom) or not wanted(hom):
                         continue
                     # l(y)*y = y and x*r(x) = x; every other cell starts empty
                     table[:] = [[y if x == l[y] else x if y == r[x] else _EMPTY
@@ -223,7 +224,6 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
                     cells = [(x, y, hom.get((l[x], r[y]), ())) for x in rest for y in rest
                              if r[x] == l[y] and (x <= y or not commutative)]
                     fill(cells, 0, bot)
-    found.sort(key=lambda c: (c.triples(), tuple(sorted(c.bot))))
     return found
 
 
@@ -299,6 +299,44 @@ def quotient_by_iso(cands: list[FrobeniusCandidate]) -> list[tuple[FrobeniusCand
             for (triples, bot), size in reps]
 
 
+def _skeleton_type(hom: dict) -> tuple:
+    # |H(e, e')| up to a simultaneous permutation of the units e, each in H(e, e)
+    return min(tuple(len(hom.get((e, e2), ())) for e in p for e2 in p)
+               for p in permutations(sorted({e for e, _ in hom})))
+
+
+def search_classes(cfg: SearchConfig) -> list[tuple[FrobeniusCandidate, int]]:
+    """``quotient_by_iso(brute_force_search(cfg))``, filling one skeleton per type.
+
+    A skeleton's type is its matrix of |H(e, e')| up to a simultaneous
+    permutation of the units.  The walk is the search's, node count
+    included, but it fills only the first skeleton of each type; a class
+    found there has (skeletons of the type) times (its tables there) members.
+
+    Every table has exactly one skeleton, by the unit lemmas of
+    ``brute_force_search``.  A relabeling tau carries l, r and ``bot``, so
+    it maps the tables on skeleton k bijectively onto those on tau k,
+    class by class, and H(e, e') onto H(tau e, tau e'), keeping the type.
+    Two skeletons of one type are related by a relabeling: match their
+    matrices by a unit permutation, then each H(e, e') with its image by a
+    bijection that sends the unit to the unit.  So a class lies on the
+    skeletons of one type, equally many of its tables on each.
+    """
+    found: list[FrobeniusCandidate] = []
+    types: dict[tuple, list[int]] = {}  # type: [its skeletons, index of its first table]
+
+    def first_of_type(hom: dict) -> bool:
+        seen = types.setdefault(_skeleton_type(hom), [0, len(found)])
+        seen[0] += 1
+        return seen[0] == 1
+
+    _walk(cfg, found, first_of_type)
+    ends = [start for _, start in types.values()][1:] + [len(found)]
+    classes = [(rep, count * size) for (count, start), end in zip(types.values(), ends)
+               for rep, size in quotient_by_iso(found[start:end])]
+    return sorted(classes, key=lambda c: (c[0].triples(), sorted(c[0].bot)))
+
+
 @dataclass(frozen=True)
 class CrossValidation:
     """Outcome of checking the search against the enumeration."""
@@ -311,29 +349,23 @@ class CrossValidation:
 
 
 def cross_validate(n: int, budget: int | None = None) -> CrossValidation:
-    """Search, quotient, decompose, and compare against the enumeration.
+    """Search classes, decompose, and compare against the enumeration.
 
     A mismatch means one of the two routes is buggy; the verdict carries
-    both sides.  The search bounds n (ValueError above
-    ``SEARCH_CARRIER_LIMIT``); ``budget`` is passed to it unchanged.
+    both sides.  n is capped at ``SEARCH_CARRIER_LIMIT``; ``budget`` counts
+    every labeled skeleton plus the cell values tried in those filled.
     """
     from .analysis import decompose
 
-    cands = brute_force_search(SearchConfig(n, require_commutative=True, budget=budget))
-    classes = quotient_by_iso(cands)
+    classes = search_classes(SearchConfig(n, require_commutative=True, budget=budget))
     enumerated = enumerate_classical_structures(n)
 
-    matches = []
-    for rep, size in classes:
-        matches.append((decompose(rep).spec, rep, size))
-    matches.sort(key=lambda t: t[0].sort_key())
-
+    matches = sorted(((decompose(rep).spec, rep, size) for rep, size in classes),
+                     key=lambda t: t[0].sort_key())
     found_specs = [spec for spec, _, _ in matches]
     ok = found_specs == list(enumerated)
-    if ok:
-        message = f"{len(classes)} classes match {len(enumerated)} enumerated structures"
-    else:
-        message = (f"mismatch: search found {[s.label for s in found_specs]}, "
-                   f"enumeration lists {[s.label for s in enumerated]}")
+    message = (f"{len(classes)} classes match {len(enumerated)} enumerated structures" if ok
+               else f"mismatch: search found {[s.label for s in found_specs]}, "
+               f"enumeration lists {[s.label for s in enumerated]}")
     return CrossValidation(n=n, ok=ok, matches=tuple(matches),
                            enumerated=tuple(enumerated), message=message)

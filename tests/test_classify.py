@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from relfrob import (AbelianGroupSpec, BudgetExceededError, SearchConfig,
                      brute_force_search, build_biproduct, cross_validate,
                      enumerate_classical_structures, enumerate_special_frobenius,
                      partitions, quotient_by_iso, verify_structure)
+from relfrob.classify import search_classes
 from test_groups import abelian_group_count
 
 
@@ -459,8 +462,12 @@ def test_quotient_matches_reference_quotient(n, commutative):
     assert quotient_keys(cands) == naive.quotient(cands)
 
 
+def class_keys(classes) -> list:
+    return [((rep.triples(), tuple(sorted(rep.bot))), size) for rep, size in classes]
+
+
 def quotient_keys(cands) -> list:
-    return [((rep.triples(), tuple(sorted(rep.bot))), size) for rep, size in quotient_by_iso(cands)]
+    return class_keys(quotient_by_iso(cands))
 
 
 def relabeled(rng, c):
@@ -530,6 +537,131 @@ def test_cross_validate_above_the_search_bound_raises():
         cross_validate(7)
     with pytest.raises(ValueError, match="exceeds the exhaustive search bound 6"):
         cross_validate(7, budget=10)
+
+
+def test_cross_validate_checks_its_arguments_in_the_search_order():
+    # the carrier sign, then the carrier cap, then the budget sign; a zero
+    # budget stops at the first skeleton with nothing found
+    with pytest.raises(ValueError, match="carrier size -1 is negative"):
+        cross_validate(-1, budget=-1)
+    with pytest.raises(ValueError, match="exceeds the exhaustive search bound 6"):
+        cross_validate(7, budget=-1)
+    with pytest.raises(ValueError, match="budget -5 is negative"):
+        cross_validate(3, budget=-5)
+    with pytest.raises(BudgetExceededError) as info:
+        cross_validate(3, budget=0)
+    assert (info.value.explored, info.value.found) == (1, [])
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+@pytest.mark.parametrize("n", range(6))
+def test_search_classes_match_the_labeled_quotient(n, commutative):
+    # one skeleton filled per type, the rest counted: the same
+    # representatives, sizes and order as quotienting every labeled table
+    cfg = SearchConfig(n, commutative)
+    assert class_keys(search_classes(cfg)) == quotient_keys(brute_force_search(cfg))
+
+
+@pytest.mark.parametrize("commutative,counts", [(True, [1, 1, 3, 10, 53, 281]),
+                                                (False, [1, 1, 3, 10, 65, 341])])
+def test_search_class_sizes_sum_to_the_labeled_counts(commutative, counts):
+    assert [sum(size for _, size in search_classes(SearchConfig(n, commutative)))
+            for n in range(6)] == counts
+
+
+# nodes the class walk explores: one per skeleton and one per cell value
+# tried in the first skeleton of each type
+CLASS_NODES = {(3, True): 24, (3, False): 33, (4, True): 139, (4, False): 284,
+               (5, True): 748, (5, False): 2425}
+
+
+@pytest.mark.parametrize("n,commutative", sorted(CLASS_NODES))
+def test_search_classes_node_count(n, commutative):
+    # the least budget that completes is the number of nodes explored, and
+    # what an exhausted budget found is a subset of the labeled tables
+    total = CLASS_NODES[n, commutative]
+    search_classes(SearchConfig(n, commutative, total))
+    with pytest.raises(BudgetExceededError) as info:
+        search_classes(SearchConfig(n, commutative, total - 1))
+    assert info.value.explored == total
+    labeled = set(_keys(brute_force_search(SearchConfig(n, commutative))))
+    assert set(_keys(info.value.found)) <= labeled
+
+
+def skeletons(n: int, commutative: bool) -> list[dict]:
+    """The hom-sets of every skeleton the search keeps, none filled."""
+    homs: list[dict] = []
+    relfrob.classify._walk(SearchConfig(n, commutative), [],
+                           lambda hom: homs.append(hom) or False)
+    return homs
+
+
+def relabel_skeleton(hom: dict, tau) -> dict:
+    """The hom-sets of the skeleton tau moves hom's to: tau(x) has left
+    and right units tau(l(x)) and tau(r(x))."""
+    moved: dict = {}
+    for (e, e2), xs in hom.items():
+        for x in xs:
+            moved.setdefault((tau[e], tau[e2]), []).append(tau[x])
+    return {key: sorted(xs) for key, xs in moved.items()}
+
+
+def frozen(hom: dict) -> frozenset:
+    return frozenset((key, tuple(xs)) for key, xs in hom.items())
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+@pytest.mark.parametrize("n", range(7))
+def test_skeleton_type_is_unchanged_under_relabelings(n, commutative):
+    # a relabeled kept skeleton is kept too, and has the same type
+    rng = random.Random(100 * n + commutative)
+    homs = skeletons(n, commutative)
+    kept = {frozen(hom) for hom in homs}
+    for hom in homs:
+        tau = list(range(n))
+        rng.shuffle(tau)
+        moved = relabel_skeleton(hom, tau)
+        assert frozen(moved) in kept, (hom, tau)
+        assert relfrob.classify._skeleton_type(moved) == relfrob.classify._skeleton_type(hom)
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+@pytest.mark.parametrize("n", range(5))
+def test_skeletons_of_one_type_are_related_by_a_relabeling(n, commutative):
+    # exhaustively: two kept skeletons have one type exactly when some
+    # relabeling maps one onto the other
+    homs = skeletons(n, commutative)
+    orbit_of = {frozen(hom): frozenset(frozen(relabel_skeleton(hom, tau))
+                                       for tau in itertools.permutations(range(n)))
+                for hom in homs}
+    type_of = {frozen(hom): relfrob.classify._skeleton_type(hom) for hom in homs}
+    for a in orbit_of:
+        for b in orbit_of:
+            assert (b in orbit_of[a]) == (type_of[a] == type_of[b]), (a, b)
+
+
+def euler_phi(m: int) -> int:
+    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
+def automorphism_count(spec) -> int:
+    """|Aut| of a direct sum of abelian groups, by closed forms: Z_m has
+    phi(m), Z2 x Z2 has 6, and m equal blocks B have |Aut B|^m * m!."""
+    total = 1
+    for block, m in collections.Counter(spec.blocks).items():
+        factors = block.invariant_factors
+        # the closed forms cover the cyclic groups and Z2 x Z2 only
+        aut = euler_phi(block.order) if len(factors) <= 1 else {(2, 2): 6}[factors]
+        total *= aut ** m * math.factorial(m)
+    return total
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_class_sizes_are_n_factorial_over_the_automorphism_count(n):
+    # each class of labeled tables is an orbit of n! relabelings, each
+    # table fixed by |Aut| of them
+    for spec, _, size in cross_validate(n).matches:
+        assert size * automorphism_count(spec) == math.factorial(n), spec
 
 
 @settings(deadline=None, max_examples=25)
