@@ -1,13 +1,13 @@
 """Enumeration and exhaustive search for structures on small carriers.
 
 Two independent routes to the same inventory: ``enumerate_classical_structures``
-walks integer partitions and abelian-group choices per part, while
-``brute_force_search`` picks the units and each element's left and right
-unit, fills in the composable cells of the multiplication table, and keeps
-whatever passes the axiom checker.  ``cross_validate`` compares the
-classes of ``search_classes``, which fills one skeleton per relabeling type,
-with the enumeration: the computational content of the classification,
-every commutative structure is a disjoint union of abelian groups.
+walks integer partitions and abelian-group choices per part, while the search
+picks the units and each element's left and right unit, fills in the composable
+cells of the multiplication table, and keeps whatever passes the axiom checker.
+``search_classes`` fills one skeleton per relabeling type; ``relfrob
+brute-force`` prints its classes, and ``cross_validate`` compares them with the
+enumeration: the computational content of the classification, every
+commutative structure is a disjoint union of abelian groups.
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ class BudgetExceededError(RuntimeError):
 
 def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     """Every structure on the labeled carrier passing the axiom checker.
+
+    The labeled reference for ``search_classes``, read by the tests, the CI
+    check at n = 6, and the benchmark's classify workload and tracer.
 
     The search first fixes a skeleton: the unit set ``bot`` and maps l, r
     from the carrier to ``bot`` with l(e) = r(e) = e on ``bot``, and

@@ -24,9 +24,9 @@ import sys
 from .analysis import (DecompositionError, PreconditionError, check_duality,
                        classical_elements, comonoid_subobjects, decompose,
                        quantum_structure)
-from .classify import (BudgetExceededError, SearchConfig, brute_force_search,
-                       cross_validate, enumerate_classical_structures,
-                       enumerate_special_frobenius, quotient_by_iso)
+from .classify import (BudgetExceededError, SearchConfig, cross_validate,
+                       enumerate_classical_structures, enumerate_special_frobenius,
+                       search_classes)
 from .files import load_structure, render_structure, save_structure
 from .frobenius import FroWitness, Verdict, verify_structure
 from .groups import build_biproduct, parse_structure_spec
@@ -123,16 +123,14 @@ def cmd_enumerate(args) -> Result:
 
 
 def cmd_brute_force(args) -> Result:
-    cfg = SearchConfig(n=args.n, require_commutative=not args.no_commutative,
-                       budget=args.budget)
-    cands = brute_force_search(cfg)
-    classes = [{"triples": [list(t) for t in rep.triples()], "bot": sorted(rep.bot),
-                "size": size} for rep, size in quotient_by_iso(cands)]
-    payload = {"n": args.n, "commutative_required": cfg.require_commutative,
-               "count": len(cands), "classes": classes}
+    commutative = not args.no_commutative
+    classes = [{"triples": [list(t) for t in rep.triples()], "bot": sorted(rep.bot), "size": size}
+               for rep, size in search_classes(SearchConfig(args.n, commutative, args.budget))]
+    payload = {"n": args.n, "commutative_required": commutative,
+               "count": sum(k["size"] for k in classes), "classes": classes}
     lines = [f"class of size {k['size']}: bot {_fmt_set(k['bot'])} table "
              + " ".join(f"{x}{y}->{z}" for x, y, z in k["triples"]) for k in classes]
-    lines.append(f"total: {_count(len(cands), 'labeled candidate')} "
+    lines.append(f"total: {_count(payload['count'], 'labeled candidate')} "
                  f"in {_count(len(classes), 'class', 'classes')}")
     return 0, payload, lines
 

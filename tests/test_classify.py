@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,10 @@ import naive
 from conftest import candidate, product_of
 import relfrob.classify
 from relfrob import (AbelianGroupSpec, BudgetExceededError, SearchConfig,
-                     brute_force_search, build_biproduct, cross_validate,
+                     brute_force_search, build_biproduct, cross_validate, decompose,
                      enumerate_classical_structures, enumerate_special_frobenius,
                      partitions, quotient_by_iso, verify_structure)
-from relfrob.classify import search_classes
+from relfrob.classify import ENUM_CARRIER_LIMIT, search_classes
 from test_groups import abelian_group_count
 
 
@@ -662,6 +664,101 @@ def test_class_sizes_are_n_factorial_over_the_automorphism_count(n):
     # table fixed by |Aut| of them
     for spec, _, size in cross_validate(n).matches:
         assert size * automorphism_count(spec) == math.factorial(n), spec
+
+
+def prime_exponents(factors) -> dict[int, list[int]]:
+    """The exponents of Z_{p^e} in the p-primary split of a product of
+    cyclic groups of these orders, ascending per prime p."""
+    exponents: dict[int, list[int]] = collections.defaultdict(list)
+    for d in factors:
+        p = 2
+        while d > 1:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e:
+                exponents[p].append(e)
+            p += 1
+    return {p: sorted(es) for p, es in exponents.items()}
+
+
+@functools.cache
+def hillar_rhea_automorphisms(group) -> int:
+    """|Aut| of a finite abelian group from its p-primary invariants.
+
+    Aut G is the product of Aut G_p over the primes, and for
+    G_p = Z_{p^e_1} x ... x Z_{p^e_k} with e_1 <= ... <= e_k Hillar and
+    Rhea (Amer. Math. Monthly 2007, Theorem 4.1) count
+    prod_i (p^d_i - p^(i-1)) * prod_j p^(e_j (k - d_j)) * prod_i p^((e_i - 1)(k - c_i + 1)),
+    with d_i the last and c_i the first position j where e_j = e_i.
+    """
+    total = 1
+    for p, es in prime_exponents(group.invariant_factors).items():
+        k = len(es)
+        for i, e in enumerate(es, 1):
+            d, c = k - es[::-1].index(e), es.index(e) + 1
+            total *= (p ** d - p ** (i - 1)) * p ** (e * (k - d)) * p ** ((e - 1) * (k - c + 1))
+    return total
+
+
+def spec_automorphisms(spec) -> int:
+    """|Aut| of a direct sum: prod over the distinct blocks G, k times
+    each, of |Aut G|^k * k!, since an automorphism may also swap equal
+    blocks."""
+    total = 1
+    for block, k in collections.Counter(spec.blocks).items():
+        total *= hillar_rhea_automorphisms(block) ** k * math.factorial(k)
+    return total
+
+
+def table_automorphisms(table) -> int:
+    # the bijections that fix the unit 0 and preserve the table
+    m = len(table)
+    count = 0
+    for images in itertools.permutations(range(1, m)):
+        f = (0,) + images
+        count += all(f[table[x][y]] == table[f[x]][f[y]] for x in range(m) for y in range(m))
+    return count
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_hillar_rhea_counts_the_automorphisms_of_small_abelian_groups(m):
+    for group in relfrob.groups.enumerate_abelian_groups(m):
+        assert hillar_rhea_automorphisms(group) == table_automorphisms(group.table()), group
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_search_class_sizes_are_n_factorial_over_hillar_rhea(n):
+    # every class the class route finds is one orbit of n! relabelings
+    for rep, size in search_classes(SearchConfig(n)):
+        spec = decompose(rep).spec
+        assert size * spec_automorphisms(spec) == math.factorial(n), spec.label
+
+
+def labeled_counts(n_max: int) -> list[Fraction]:
+    """n! [x^n] exp(B(x)), B(x) = sum over abelian groups G of x^|G| / |Aut G|:
+    the labeled classical structures on n points, by the exponential
+    formula, with exp by the recurrence n a_n = sum_k k b_k a_(n-k), in
+    exact fractions, so no rounding can hide a wrong |Aut|."""
+    b = [Fraction(0)] + [sum(Fraction(1, hillar_rhea_automorphisms(g))
+                             for g in relfrob.groups.enumerate_abelian_groups(m))
+                         for m in range(1, n_max + 1)]
+    a = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        a.append(sum(k * b[k] * a[n - k] for k in range(1, n + 1)) / n)
+    return [a_n * math.factorial(n) for n, a_n in enumerate(a)]
+
+
+def test_labeled_counts_are_the_exponential_formula_over_the_enumeration():
+    counts = labeled_counts(ENUM_CARRIER_LIMIT)
+    for n, count in enumerate(counts):
+        assert count == sum(Fraction(math.factorial(n), spec_automorphisms(spec))
+                            for spec in enumerate_classical_structures(n)), n
+
+
+def test_exponential_formula_gives_the_searched_labeled_counts():
+    assert labeled_counts(6) == [1, 1, 3, 10, 53, 281, 2101]
 
 
 @settings(deadline=None, max_examples=25)

@@ -198,6 +198,55 @@ def test_zero_budget_exhausts_at_the_first_node(capsys):
     assert err == "error: search budget exhausted after 1 nodes (0 candidates found so far)\n"
 
 
+@pytest.mark.parametrize("commutative", [True, False])
+@pytest.mark.parametrize("n", range(6))
+def test_brute_force_reports_the_labeled_quotient(capsys, n, commutative):
+    # the command runs the class route; its payload is the one the labeled
+    # route gives: every labeled table searched, then quotiented
+    cfg = relfrob.SearchConfig(n, commutative)
+    cands = relfrob.brute_force_search(cfg)
+    want = {"n": n, "commutative_required": commutative, "count": len(cands),
+            "classes": [{"triples": [list(t) for t in rep.triples()],
+                         "bot": sorted(rep.bot), "size": size}
+                        for rep, size in relfrob.quotient_by_iso(cands)]}
+    mode = [] if commutative else ["--no-commutative"]
+    code, out, _ = run(capsys, "brute-force", "--n", str(n), *mode, "--format", "machine")
+    assert code == 0
+    assert json.loads(out) == want
+
+
+def test_brute_force_and_cross_validate_share_one_budget(capsys):
+    # both commands walk the same skeletons and fill the same ones, so a
+    # budget stops them at the same node with the same tables found; the
+    # class walk explores 24 nodes at n = 3
+    for budget in range(41):
+        code, _, err = run(capsys, "brute-force", "--n", "3", "--budget", str(budget))
+        cross_code, _, cross_err = run(capsys, "cross-validate", "--n", "3",
+                                       "--budget", str(budget))
+        assert (code, err) == (cross_code, cross_err), budget
+        if budget < 24:
+            assert code == 1
+            assert err.startswith(f"error: search budget exhausted after {budget + 1} nodes")
+        else:
+            assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("commutative,budget", [(True, 17), (False, 20)])
+def test_brute_force_budget_counts_the_class_walk(capsys, commutative, budget):
+    # the least budgets whose output moved when brute-force left the labeled
+    # route: the class walk skips the fills of the skeletons whose type it
+    # has seen, so by then it has found two tables where the labeled walk
+    # has found one
+    mode = [] if commutative else ["--no-commutative"]
+    code, out, err = run(capsys, "brute-force", "--n", "3", *mode, "--budget", str(budget))
+    assert (code, out) == (1, "")
+    assert err == (f"error: search budget exhausted after {budget + 1} nodes"
+                   " (2 candidates found so far)\n")
+    with pytest.raises(relfrob.BudgetExceededError) as info:
+        relfrob.brute_force_search(relfrob.SearchConfig(3, commutative, budget))
+    assert (info.value.explored, len(info.value.found)) == (budget + 1, 1)
+
+
 def test_brute_force_singular_grammar(capsys):
     _, out, _ = run(capsys, "brute-force", "--n", "0")
     assert "1 labeled candidate in 1 class" in out
