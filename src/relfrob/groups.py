@@ -1,7 +1,9 @@
 """Finite groups as Cayley tables and the structures they induce.
 
 Abelian groups travel as invariant-factor chains d1 | d2 | ... | dk with
-every factor at least 2 (the empty chain is the one-element group).
+every factor at least 2 (the empty chain is the one-element group).  They
+are normalized, listed and read off tables on the chain itself, with gcd
+and lcm; nothing is factored into primes.
 Arbitrary groups travel as explicit, validated Cayley tables; a small
 built-in library covers the non-abelian groups of order at most 8.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import prod
+from math import gcd, isqrt, lcm, prod
 
 from .frobenius import CARRIER_LIMIT, FrobeniusCandidate, quoted
 from .rel import Rel
@@ -188,43 +190,28 @@ def element_orders(table) -> list[int]:
     return out
 
 
-def _factorize(m: int) -> dict[int, int]:
-    fac: dict[int, int] = {}
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        fac[m] = fac.get(m, 0) + 1
-    return fac
-
-
 def normalize_invariant_factors(cyclic_orders) -> AbelianGroupSpec:
     """Invariant factors of a direct product of cyclic groups.
+
+    Each order c is folded into the chain so far, largest factor first,
+    by replacing (d, c) with (lcm, gcd), and what is left of c, unless 1,
+    becomes the last factor: Z_d x Z_c is isomorphic to Z_lcm x Z_gcd, and
+    each lcm still divides the one before.
 
     >>> normalize_invariant_factors([4, 6]).invariant_factors
     (2, 12)
     >>> normalize_invariant_factors([2, 3]).invariant_factors
     (6,)
     """
-    exponents: dict[int, list[int]] = {}
-    for m in cyclic_orders:
-        if m < 1:
-            raise ValueError(f"cyclic order {m} is below 1")
-        for p, e in _factorize(m).items():
-            exponents.setdefault(p, []).append(e)
-    depth = max((len(v) for v in exponents.values()), default=0)
-    factors = []
-    for k in range(depth):
-        d = 1
-        for p, es in exponents.items():
-            es_sorted = sorted(es, reverse=True)
-            if k < len(es_sorted):
-                d *= p ** es_sorted[k]
-        factors.append(d)
-    return AbelianGroupSpec(tuple(sorted(factors)))
+    chain: list[int] = []  # largest factor first
+    for c in cyclic_orders:
+        if c < 1:
+            raise ValueError(f"cyclic order {c} is below 1")
+        for i, d in enumerate(chain):
+            chain[i], c = lcm(d, c), gcd(d, c)
+        if c > 1:
+            chain.append(c)
+    return AbelianGroupSpec(tuple(reversed(chain)))
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
@@ -247,40 +234,51 @@ def partitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _chains(m: int, base: int):
+    # divisor chains of multiples of base with product m, in order; () for m = 1
+    for d in range(max(base, 2), isqrt(m) + 1, base):
+        if m % (d * d) == 0:
+            yield from ((d,) + rest for rest in _chains(m // d, d))
+    yield (m,) if m > 1 else ()
+
+
 def enumerate_abelian_groups(m: int) -> list[AbelianGroupSpec]:
     """All abelian groups of order m, one spec per isomorphism class.
+
+    A chain d1 | d2 | ... with product m starts with some d whose square
+    divides m, followed by a chain of multiples of d with product m/d; the
+    single chain (m,) comes last, so the specs come sorted by their factors.
 
     >>> [g.invariant_factors for g in enumerate_abelian_groups(8)]
     [(2, 2, 2), (2, 4), (8,)]
     """
     if m < 1:
         raise ValueError(f"group order {m} is below 1")
-    per_prime = []
-    for p, e in sorted(_factorize(m).items()):
-        per_prime.append([(p, part) for part in partitions(e)])
-    specs = []
-    for combo in product(*per_prime):
-        prime_powers = [p ** k for p, part in combo for k in part]
-        specs.append(normalize_invariant_factors(prime_powers))
-    return sorted(set(specs), key=lambda s: s.invariant_factors)
+    return [AbelianGroupSpec(chain) for chain in _chains(m, 1)]
 
 
 def _invariant_factors(table) -> tuple[int, ...]:
     """Invariant factors of an abelian Cayley table, from its element orders.
 
-    For each prime p the c_k elements of order dividing p^k number
-    p^(r_1 + ... + r_k), where r_k cyclic p-factors have order at least
-    p^k; so p^k occurs r_k - r_(k+1) times.
+    With factors d_i, N(d) = prod gcd(d, d_i) elements have order dividing
+    d.  Once factors f are peeled, leaving order r, the next is the least
+    divisor d of r with N(d) = r * prod gcd(d, f), which holds just when
+    every factor left divides d; the first is the least d that every
+    element order divides.  No such d means the table is no abelian group.
     """
     orders = element_orders(table)
-    prime_powers = []
-    for p, e in _factorize(len(table)).items():
-        counts = [sum(p ** k % o == 0 for o in orders) for k in range(e + 1)]
-        ranks = [_factorize(counts[k] // counts[k - 1]).get(p, 0)
-                 for k in range(1, e + 1)] + [0]
-        for k in range(1, e + 1):
-            prime_powers += [p ** k] * (ranks[k - 1] - ranks[k])
-    return normalize_invariant_factors(prime_powers).invariant_factors
+    factors: list[int] = []  # largest first
+    rest = len(table)
+    while rest > 1:
+        for d in range(2, rest + 1):
+            if rest % d == 0 and sum(d % o == 0 for o in orders) == rest * prod(
+                    gcd(d, f) for f in factors):
+                break
+        else:
+            raise ValueError(f"table of order {len(table)} is not an abelian group")
+        factors.append(d)
+        rest //= d
+    return tuple(reversed(factors))
 
 
 def identify_group(table) -> GroupSpec:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import doctest
 import itertools
 import math
+import random
 import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 import hypothesis.strategies as st
 
 import relfrob.groups
@@ -140,19 +141,22 @@ def test_enumerate_abelian_groups_known_orders():
         enumerate_abelian_groups(0)
 
 
-@pytest.mark.parametrize("m", range(1, 25))
+@pytest.mark.parametrize("m", range(1, CARRIER_LIMIT + 1))
 def test_enumerate_abelian_groups_count_formula(m):
     assert len(enumerate_abelian_groups(m)) == abelian_group_count(m)
 
 
-@pytest.mark.parametrize("m", range(1, 17))
+@pytest.mark.parametrize("m", range(1, 65))
 def test_enumerated_groups_pairwise_distinct(m):
-    # element-order multisets separate abelian groups of equal order
+    # element-order multisets separate abelian groups of equal order, and
+    # each group's factors read back from its own table
     seen = set()
     for g in enumerate_abelian_groups(m):
-        orders = tuple(sorted(element_orders(g.table())))
+        table = g.table()
+        orders = tuple(sorted(element_orders(table)))
         assert orders not in seen
         seen.add(orders)
+        assert invariant_factors_of_table(table) == g.invariant_factors
 
 
 def test_normalize_invariant_factors():
@@ -162,6 +166,18 @@ def test_normalize_invariant_factors():
     assert normalize_invariant_factors([]).invariant_factors == ()
     with pytest.raises(ValueError):
         normalize_invariant_factors([0])
+
+
+def test_nothing_is_factored_into_primes():
+    # factoring the Mersenne prime 2^61 - 1 by trial division would run to
+    # about 1.5e9; the chain walk for 2^31 - 1 tries the 46 339 d up to its
+    # square root as d * d | m, and takes one chain
+    big = 2 ** 61 - 1
+    start = time.perf_counter()
+    assert normalize_invariant_factors([big, big]).invariant_factors == (big, big)
+    assert [g.invariant_factors for g in enumerate_abelian_groups(2 ** 31 - 1)] == [
+        (2 ** 31 - 1,)]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_normalization_preserves_isomorphism_type():
@@ -176,24 +192,37 @@ def relabel(table, perm):
                  for a in range(len(perm)))
 
 
-@settings(deadline=None)
-@given(st.lists(st.integers(1, 6), min_size=0, max_size=3).filter(
-    lambda fs: math.prod(fs) <= 30), st.randoms(use_true_random=False))
-def test_invariant_factors_of_table_inverts_construction(orders, rng):
-    spec = normalize_invariant_factors(orders)
-    assert invariant_factors_of_table(spec.table()) == spec.invariant_factors
-    # also from the unnormalized direct-product table
-    table = abelian_table(tuple(orders))
-    assert invariant_factors_of_table(table) == spec.invariant_factors
-    # and relabeled, so the unit may sit anywhere
-    perm = list(range(len(table)))
-    rng.shuffle(perm)
-    assert invariant_factors_of_table(relabel(table, perm)) == spec.invariant_factors
+def cyclic_order_lists(most: int):
+    """Every list of cyclic orders from 2 up with product at most `most`."""
+    yield []
+    for c in range(2, most + 1):
+        for rest in cyclic_order_lists(most // c):
+            yield [c] + rest
+
+
+def test_invariant_factors_of_table_inverts_construction():
+    # gcd/lcm folding against peeling by element orders, two routes
+    rng = random.Random(0)
+    for orders in cyclic_order_lists(32):
+        spec = normalize_invariant_factors(orders + [1])  # a 1 folds to nothing
+        assert invariant_factors_of_table(spec.table()) == spec.invariant_factors
+        # also from the unnormalized direct-product table
+        table = abelian_table(tuple(orders))
+        assert invariant_factors_of_table(table) == spec.invariant_factors
+        # and relabeled, so the unit may sit anywhere
+        perm = list(range(len(table)))
+        rng.shuffle(perm)
+        assert invariant_factors_of_table(relabel(table, perm)) == spec.invariant_factors
 
 
 def test_invariant_factors_rejects_nonabelian():
     with pytest.raises(ValueError, match="abelian"):
         invariant_factors_of_table(BUILTIN_NONABELIAN["S3"].table)
+    # commutative with a unit, and the powers of 1 and 2 reach it, but
+    # (1*1)*2 = 2 while 1*(1*2) = 1; its element orders 1, 2, 2 give
+    # N(3) = 1, where a group of order 3 would give 3
+    with pytest.raises(ValueError, match="not an abelian group"):
+        _invariant_factors(((0, 1, 2), (1, 0, 0), (2, 0, 0)))
 
 
 @pytest.mark.parametrize("table", [((0, 1), (1, 1)),
