@@ -212,11 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("brute-force", parents=[common],
-                       help="exhaustive table search on a labeled carrier")
+                       help="exhaustive table search, reported as relabeling classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--no-commutative", action="store_true",
                    help="do not require commutativity")
-    p.add_argument("--budget", type=int, help="node budget for the search")
+    p.add_argument("--budget", type=int,
+                   help="node budget: one per skeleton type and per cell value tried")
     p.set_defaults(fn=cmd_brute_force)
 
     p = sub.add_parser("decompose", parents=[common],

@@ -5,8 +5,11 @@ sizes passed explicitly.  Everything is written for obviousness rather
 than speed, so it can act as an independent check on the bitset code.
 ``search`` is a cell-by-cell table search, a different algorithm from the
 skeleton-first ``brute_force_search`` and the reference for its results.
-``quotient`` keys every table by all n! relabelings, the reference for the
-colour-refined ``quotient_by_iso``.  ``parse_structure`` checks and converts
+``quotient`` keys every table by all n! relabelings (``least_key``), the
+reference for the classes of ``quotient_by_iso`` and for its branch and
+bound representatives.  ``skeleton_type`` canonicalizes a labeled
+skeleton by every permutation of its units, the reference for the types
+that ``search_classes`` generates.  ``parse_structure`` checks and converts
 a structure text line by line, the reference for the bulk parser.
 ``classical_masks`` copy-tests all 2^n subsets, the reference for the scan
 over the subsets of the points one unit fixes.
@@ -194,20 +197,33 @@ def search(n: int, commutative: bool = True, budget: int | None = None):
     return found, explored
 
 
+def least_key(n: int, triples, bot) -> tuple:
+    """The least (sorted triples, sorted bot) over all n! relabelings: the
+    representative of the table's class, by sweeping every relabeling."""
+    return min((tuple(sorted((s[x], s[y], s[z]) for x, y, z in triples)),
+                tuple(sorted(s[e] for e in bot)))
+               for s in permutations(range(n)))
+
+
 def quotient(cands) -> list:
     """The relabeling classes as ((triples, sorted bot), size), sorted.
 
-    Each table's key is its least (triples, bot) over all n! relabelings,
-    so the key is the class representative ``quotient_by_iso`` returns.
+    Each table's key is its ``least_key``, so the key is the class
+    representative ``quotient_by_iso`` returns.
     """
     classes: dict[tuple, int] = {}
     for cand in cands:
-        triples = cand.triples()
-        key = min((tuple(sorted((s[x], s[y], s[z]) for x, y, z in triples)),
-                   tuple(sorted(s[e] for e in cand.bot)))
-                  for s in permutations(range(cand.n)))
+        key = least_key(cand.n, cand.triples(), cand.bot)
         classes[key] = classes.get(key, 0) + 1
     return sorted(classes.items())
+
+
+def skeleton_type(hom: dict) -> tuple:
+    """The type of a labeled skeleton given by its hom-sets H(e, e'): the
+    matrix of |H(e, e')|, least over every simultaneous permutation of the
+    units, each unit in its own H(e, e)."""
+    return min(tuple(len(hom.get((e, e2), ())) for e in p for e2 in p)
+               for p in permutations(sorted({e for e, _ in hom})))
 
 
 def parse_structure(text: str) -> FrobeniusCandidate:

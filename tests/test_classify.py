@@ -495,18 +495,60 @@ def multi_valued_tables(rng, n: int, count: int) -> list:
 
 def test_colours_and_keys_move_with_relabeling(special_frobenius_structures):
     # with one signature table, sigma(x) in the relabeled table has the
-    # colour x has, so both get the same colour-ordered key
+    # colour x has, so both refinement trees have the same leaf keys, the
+    # first leaf of either lies among the other's, and both tables have
+    # the same least key
     rng = random.Random(12)
     tables = [c for c in special_frobenius_structures if c.n <= 6]
     tables += [t for n in range(1, 6) for t in multi_valued_tables(rng, n, 6)]
     for c in tables:
-        moved, sigma = relabeled(rng, c)
-        ids: dict = {}
-        colour = relfrob.classify._colours(c.n, c.triples(), c.bot, ids)
-        moved_colour = relfrob.classify._colours(c.n, moved.triples(), moved.bot, ids)
-        assert [moved_colour[sigma[x]] for x in range(c.n)] == colour, c
-        assert (relfrob.classify._colour_key(c.n, c.triples(), c.bot, ids)
-                == relfrob.classify._colour_key(c.n, moved.triples(), moved.bot, ids)), c
+        for _ in range(3):
+            moved, sigma = relabeled(rng, c)
+            ids: dict = {}
+            colour = relfrob.classify._colours(c.n, c.triples(), c.bot, ids)
+            moved_colour = relfrob.classify._colours(c.n, moved.triples(), moved.bot, ids)
+            assert [moved_colour[sigma[x]] for x in range(c.n)] == colour, c
+            leaves = set(relfrob.classify._leaf_keys(c.n, c.triples(), c.bot, ids))
+            moved_leaves = relfrob.classify._leaf_keys(c.n, moved.triples(), moved.bot, ids)
+            assert next(moved_leaves) in leaves, c
+            assert {next(moved_leaves, None)} | set(moved_leaves) <= leaves | {None}, c
+            assert (relfrob.classify._least_key(c.n, c.triples(), c.bot)
+                    == relfrob.classify._least_key(c.n, moved.triples(), moved.bot)), c
+
+
+def single_valued_tables(rng, n: int, count: int) -> list:
+    # seeded random partial tables, one value or none per cell, random unit
+    # sets, no axiom required
+    return [candidate(n, [(x, y, rng.randrange(n)) for x in range(n) for y in range(n)
+                          if rng.random() < 0.7], [e for e in range(n) if rng.random() < 0.4])
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+@pytest.mark.parametrize("n", range(6))
+def test_least_key_is_the_least_over_every_relabeling_of_each_class(n, commutative):
+    # branch and bound against the sweep of all n! relabelings, on every
+    # class representative and two seeded relabelings of it
+    rng = random.Random(10 * n + commutative)
+    for rep, _ in search_classes(SearchConfig(n, commutative)):
+        for c in (rep, relabeled(rng, rep)[0], relabeled(rng, rep)[0]):
+            assert (relfrob.classify._least_key(n, c.triples(), c.bot)
+                    == naive.least_key(n, c.triples(), c.bot)), c
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_least_key_is_the_least_over_every_relabeling_of_random_tables(n):
+    # seeded single- and multi-valued tables with random unit sets, the
+    # all-units table, where every relabeling ties, and tables whose swaps
+    # fix the triples but not every unit set
+    rng = random.Random(100 + n)
+    tables = single_valued_tables(rng, n, 3) + multi_valued_tables(rng, n, 2)
+    tables += [candidate(n, [(x, x, x) for x in range(n)], bot)
+               for bot in (range(n), [n - 1])]
+    tables += [candidate(n, [], bot) for bot in ([], [n - 1])]
+    for c in tables:
+        assert (relfrob.classify._least_key(n, c.triples(), c.bot)
+                == naive.least_key(n, c.triples(), c.bot)), c
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -571,10 +613,10 @@ def test_search_class_sizes_sum_to_the_labeled_counts(commutative, counts):
             for n in range(6)] == counts
 
 
-# nodes the class walk explores: one per skeleton and one per cell value
-# tried in the first skeleton of each type
-CLASS_NODES = {(3, True): 24, (3, False): 33, (4, True): 139, (4, False): 284,
-               (5, True): 748, (5, False): 2425}
+# nodes the class route explores: one per generated skeleton and one per
+# cell value tried in it
+CLASS_NODES = {(3, True): 17, (3, False): 20, (4, True): 103, (4, False): 153,
+               (5, True): 559, (5, False): 892}
 
 
 @pytest.mark.parametrize("n,commutative", sorted(CLASS_NODES))
@@ -590,12 +632,18 @@ def test_search_classes_node_count(n, commutative):
     assert set(_keys(info.value.found)) <= labeled
 
 
+def hom_sets(l, r) -> dict:
+    """H(e, e') = {x : l(x) = e, r(x) = e'} of a skeleton."""
+    hom: dict = {}
+    for x, (e, e2) in enumerate(zip(l, r)):
+        hom.setdefault((e, e2), []).append(x)
+    return hom
+
+
 def skeletons(n: int, commutative: bool) -> list[dict]:
-    """The hom-sets of every skeleton the search keeps, none filled."""
-    homs: list[dict] = []
-    relfrob.classify._walk(SearchConfig(n, commutative), [],
-                           lambda hom: homs.append(hom) or False)
-    return homs
+    """The hom-sets of every labeled skeleton the labeled search keeps."""
+    homs = [hom_sets(l, r) for _, l, r in relfrob.classify._walk(n, commutative)]
+    return [hom for hom in homs if all((e2, e) in hom for e, e2 in hom)]
 
 
 def relabel_skeleton(hom: dict, tau) -> dict:
@@ -624,7 +672,7 @@ def test_skeleton_type_is_unchanged_under_relabelings(n, commutative):
         rng.shuffle(tau)
         moved = relabel_skeleton(hom, tau)
         assert frozen(moved) in kept, (hom, tau)
-        assert relfrob.classify._skeleton_type(moved) == relfrob.classify._skeleton_type(hom)
+        assert naive.skeleton_type(moved) == naive.skeleton_type(hom)
 
 
 @pytest.mark.parametrize("commutative", [True, False])
@@ -636,10 +684,54 @@ def test_skeletons_of_one_type_are_related_by_a_relabeling(n, commutative):
     orbit_of = {frozen(hom): frozenset(frozen(relabel_skeleton(hom, tau))
                                        for tau in itertools.permutations(range(n)))
                 for hom in homs}
-    type_of = {frozen(hom): relfrob.classify._skeleton_type(hom) for hom in homs}
+    type_of = {frozen(hom): naive.skeleton_type(hom) for hom in homs}
     for a in orbit_of:
         for b in orbit_of:
             assert (b in orbit_of[a]) == (type_of[a] == type_of[b]), (a, b)
+
+
+def holds_the_type_lemmas(matrix: tuple) -> bool:
+    """Equal sizes and transitivity on a flattened |H(e, e')| matrix."""
+    k = math.isqrt(len(matrix))
+    size = [matrix[e * k:(e + 1) * k] for e in range(k)]
+    joined = [(e, e2) for e in range(k) for e2 in range(k) if size[e][e2]]
+    return (all(size[e][e2] == size[e][e] == size[e2][e2] for e, e2 in joined)
+            and all(size[e][e3] for e, e2 in joined for e3 in range(k) if size[e2][e3]))
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+@pytest.mark.parametrize("n", range(7))
+def test_generated_types_and_counts_match_the_labeled_skeletons(n, commutative):
+    # the kept labeled skeletons grouped by the reference type: each
+    # generated type is among them, as often as its closed form says, and
+    # every other type fails the equal-sizes or the transitivity lemma
+    walked = collections.Counter(naive.skeleton_type(hom) for hom in skeletons(n, commutative))
+    generated: dict = {}
+    for shapes in relfrob.classify._skeleton_types(n, commutative):
+        bot, l, r, count = relfrob.classify._place(n, shapes)
+        hom = hom_sets(l, r)
+        assert sorted(bot) == sorted({e for e, _ in hom}) and all(l[e] == r[e] == e for e in bot)
+        generated[naive.skeleton_type(hom)] = count
+    assert len(generated) == len(relfrob.classify._skeleton_types(n, commutative))
+    assert {t: walked[t] for t in generated} == generated
+    assert all(holds_the_type_lemmas(t) for t in generated)
+    assert not any(holds_the_type_lemmas(t) for t in walked.keys() - generated.keys())
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+@pytest.mark.parametrize("n", range(6))
+def test_every_labeled_table_has_a_generated_type(n, commutative):
+    # the skeleton each labeled table defines, by the unit lemmas, has a
+    # type the class route generates
+    generated = set()
+    for shapes in relfrob.classify._skeleton_types(n, commutative):
+        _, l, r, _ = relfrob.classify._place(n, shapes)
+        generated.add(naive.skeleton_type(hom_sets(l, r)))
+    for c in brute_force_search(SearchConfig(n, commutative)):
+        l = {x: e for e, x, z in c.triples() if e in c.bot and z == x}
+        r = {x: e for x, e, z in c.triples() if e in c.bot and z == x}
+        hom = hom_sets([l[x] for x in range(n)], [r[x] for x in range(n)])
+        assert naive.skeleton_type(hom) in generated, c
 
 
 def euler_phi(m: int) -> int:

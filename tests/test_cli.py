@@ -216,27 +216,27 @@ def test_brute_force_reports_the_labeled_quotient(capsys, n, commutative):
 
 
 def test_brute_force_and_cross_validate_share_one_budget(capsys):
-    # both commands walk the same skeletons and fill the same ones, so a
+    # both commands generate the same skeletons and fill them alike, so a
     # budget stops them at the same node with the same tables found; the
-    # class walk explores 24 nodes at n = 3
+    # class route explores 17 nodes at n = 3
     for budget in range(41):
         code, _, err = run(capsys, "brute-force", "--n", "3", "--budget", str(budget))
         cross_code, _, cross_err = run(capsys, "cross-validate", "--n", "3",
                                        "--budget", str(budget))
         assert (code, err) == (cross_code, cross_err), budget
-        if budget < 24:
+        if budget < 17:
             assert code == 1
             assert err.startswith(f"error: search budget exhausted after {budget + 1} nodes")
         else:
             assert (code, err) == (0, "")
 
 
-@pytest.mark.parametrize("commutative,budget", [(True, 17), (False, 20)])
+@pytest.mark.parametrize("commutative,budget", [(True, 15), (False, 18)])
 def test_brute_force_budget_counts_the_class_walk(capsys, commutative, budget):
-    # the least budgets whose output moved when brute-force left the labeled
-    # route: the class walk skips the fills of the skeletons whose type it
-    # has seen, so by then it has found two tables where the labeled walk
-    # has found one
+    # the least budgets at which brute-force and the labeled route part:
+    # the class route places one skeleton per generated type and walks no
+    # labeled skeleton, so by then it has found two tables where the
+    # labeled walk has found one
     mode = [] if commutative else ["--no-commutative"]
     code, out, err = run(capsys, "brute-force", "--n", "3", *mode, "--budget", str(budget))
     assert (code, out) == (1, "")

@@ -95,6 +95,56 @@ def test_group_spec_validates_table():
         GroupSpec(((0,), (1, 0)))
 
 
+def first_non_associative_triple(table):
+    n = len(table)
+    return next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                 if table[table[a][b]][c] != table[a][table[b][c]]), None)
+
+
+def test_group_spec_names_the_first_failing_triple_of_the_full_scan():
+    # Light's test checks only the generators; a failure still names the
+    # first (a, b, c) of the scan over all triples
+    with pytest.raises(ValueError, match=r"^not associative at \(1, 2, 2\)$"):
+        GroupSpec(((0, 1, 2), (1, 0, 2), (2, 2, 0)))
+    rng = random.Random(7)
+    failures = 0
+    for n in range(3, 9):
+        for _ in range(20):
+            # unit 0 and x*x = 0, so every element is its own inverse
+            table = [[0] * n for _ in range(n)]
+            for x in range(n):
+                table[0][x] = table[x][0] = x
+            for x in range(1, n):
+                for y in range(1, n):
+                    table[x][y] = 0 if x == y else rng.randrange(n)
+            triple = first_non_associative_triple(table)
+            if triple is None:
+                GroupSpec(table)
+                continue
+            failures += 1
+            with pytest.raises(ValueError, match=rf"^not associative at \({triple[0]}, "
+                               rf"{triple[1]}, {triple[2]}\)$"):
+                GroupSpec(table)
+    assert failures > 100
+
+
+def test_group_spec_accepts_groups_generated_in_any_order():
+    # every abelian group of order <= 32 and the dihedral groups, relabeled
+    # by seeded permutations, so the greedy generators vary
+    rng = random.Random(8)
+    tables = [g.table() for m in range(1, 33) for g in enumerate_abelian_groups(m)]
+    tables += [dihedral_table(k) for k in range(3, 17)]
+    for table in tables:
+        n = len(table)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        moved = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                moved[sigma[x]][sigma[y]] = sigma[table[x][y]]
+        GroupSpec(moved)
+
+
 def test_group_spec_rejects_an_entry_outside_its_table():
     with pytest.raises(ValueError, match=r"entry \(1, 1\) = 2 is not an element"):
         GroupSpec(((0, 1), (1, 2)))
