@@ -20,7 +20,7 @@ from .frobenius import (AxiomReport, FrobeniusCandidate, FroWitness, Verdict,
 from .groups import (BUILTIN_NONABELIAN, AbelianGroupSpec, GroupSpec, StructureSpec,
                      abelian_table, build_biproduct, element_orders,
                      enumerate_abelian_groups, identify_group,
-                     normalize_invariant_factors, parse_structure_spec, partitions)
+                     normalize_invariant_factors, parse_structure_spec)
 from .rel import Rel, bits, identity, vector
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "element_orders", "enumerate_abelian_groups", "enumerate_classical_structures",
     "enumerate_special_frobenius", "FrobeniusCandidate", "FroWitness", "GroupSpec",
     "identify_group", "identity", "is_partial_bijection", "load_structure",
-    "normalize_invariant_factors", "parse_structure", "parse_structure_spec", "partitions",
+    "normalize_invariant_factors", "parse_structure", "parse_structure_spec",
     "PreconditionError", "quantum_structure", "QuantumStructure", "quotient_by_iso", "Rel",
     "render_structure", "represent", "satisfies_axioms", "save_structure", "SearchConfig",
     "star", "StructureParseError", "StructureSpec", "vector", "Verdict", "verify_structure",

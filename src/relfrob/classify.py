@@ -1,9 +1,10 @@
 """Enumeration and exhaustive search for structures on small carriers.
 
 Two independent routes to the same inventory: ``enumerate_classical_structures``
-walks integer partitions and abelian-group choices per part, while the search
-picks the units and each element's left and right unit, fills in the composable
-cells of the multiplication table, and keeps whatever passes the axiom checker.
+lists the multisets of abelian groups of total order n in canonical order, while
+the search picks the units and each element's left and right unit, fills in the
+composable cells of the multiplication table, and keeps whatever passes the
+axiom checker.
 ``search_classes`` fills one skeleton per relabeling type; ``relfrob
 brute-force`` prints its classes, and ``cross_validate`` compares them with the
 enumeration: the computational content of the classification, every
@@ -12,14 +13,15 @@ commutative structure is a disjoint union of abelian groups.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from math import factorial
 
 from .frobenius import FrobeniusCandidate, satisfies_axioms
-from .groups import (AbelianGroupSpec, StructureSpec, enumerate_abelian_groups,
-                     nonabelian_groups_of_order, partitions)
+from .groups import (StructureSpec, _block_key, enumerate_abelian_groups,
+                     nonabelian_groups_of_order)
 from .rel import Rel
 
 SEARCH_CARRIER_LIMIT = 6
@@ -31,21 +33,36 @@ _EMPTY = -1  # a cell with no product: undefined, or not decided yet
 
 
 def _structures_from_choices(n: int, choices_per_order) -> list[StructureSpec]:
-    specs = []
-    choices = {m: choices_per_order(m) for m in range(1, n + 1)}
-    for part in partitions(n):
-        per_size = [combinations_with_replacement(choices[m], count)
-                    for m, count in sorted(Counter(part).items())]
-        for combo in product(*per_size):
-            specs.append(StructureSpec(tuple(chain.from_iterable(combo))))
-    return sorted(specs, key=StructureSpec.sort_key)
+    # a spec is a non-decreasing tuple of indices into the blocks sorted by
+    # _block_key, and sort_key orders one n's specs as (length, tuple): walk
+    # each length's tuples lexicographically, entering a branch only if its
+    # slots can still sum to the rest (each order up to n has a cyclic block)
+    blocks = sorted((b for m in range(1, n + 1) for b in choices_per_order(m)),
+                    key=_block_key)
+    orders = [b.order for b in blocks]
+    specs = [] if n else [StructureSpec(())]
+
+    def walk(rest: int, slots: int, first: int, prefix: tuple):
+        if slots == 1:
+            for i in range(bisect_left(orders, rest, first), bisect_right(orders, rest)):
+                specs.append(StructureSpec(prefix + (blocks[i],)))
+            return
+        for i in range(first, len(blocks)):
+            if orders[i] * slots > rest:
+                break
+            walk(rest - orders[i], slots - 1, i, prefix + (blocks[i],))
+
+    for slots in range(1, n + 1):
+        walk(n, slots, 0, ())
+    return specs
 
 
 def enumerate_classical_structures(n: int) -> list[StructureSpec]:
     """All commutative structures on n points up to relabeling.
 
-    One spec per multiset of abelian groups with total order n.  The number
-    of partitions of n grows fast, so n is capped at ``ENUM_CARRIER_LIMIT``.
+    One spec per multiset of abelian groups with total order n, in
+    ``sort_key`` order.  Their number grows fast (27 021 at n = 32), so n
+    is capped at ``ENUM_CARRIER_LIMIT``, checked before any spec is built.
     """
     if n < 0:
         raise ValueError(f"carrier size {n} is negative")
@@ -67,7 +84,7 @@ def enumerate_special_frobenius(n: int) -> list[StructureSpec]:
             f"carrier size {n} exceeds the built-in group table bound {SPECIAL_ENUM_LIMIT}")
 
     def choices(m: int):
-        return list(enumerate_abelian_groups(m)) + nonabelian_groups_of_order(m)
+        return enumerate_abelian_groups(m) + nonabelian_groups_of_order(m)
 
     return _structures_from_choices(n, choices)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from math import gcd, isqrt, lcm, prod
 
 from .frobenius import CARRIER_LIMIT, FrobeniusCandidate, quoted
@@ -62,12 +62,14 @@ class AbelianGroupSpec:
 
 
 def abelian_table(factors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Cayley table of a direct product of cyclic groups, unit at index 0."""
-    elems = list(product(*(range(d) for d in factors)))
-    index = {e: i for i, e in enumerate(elems)}
-    return tuple(
-        tuple(index[tuple((a + b) % d for a, b, d in zip(x, y, factors))] for y in elems)
-        for x in elems)
+    """Cayley table of a direct product of cyclic groups, unit at index 0:
+    element i has the mixed-radix digits of i, the last factor's lowest."""
+    table = [(0,)]
+    for d in factors:  # (i*d + s)·(j*d + t) = (i·j)*d + (s + t) mod d
+        cyclic = [[(s + t) % d for t in range(d)] for s in range(d)]
+        table = [tuple(z * d + w for z in row for w in line)
+                 for row in table for line in cyclic]
+    return tuple(table)
 
 
 def _find_unit(table) -> int:
@@ -239,26 +241,6 @@ def normalize_invariant_factors(cyclic_orders) -> AbelianGroupSpec:
     return AbelianGroupSpec(tuple(reversed(chain)))
 
 
-def partitions(n: int) -> list[tuple[int, ...]]:
-    """Integer partitions of n, parts non-increasing, reverse-lexicographic.
-
-    partitions(0) is [()]: the empty carrier has the empty partition.
-    """
-    if n < 0:
-        raise ValueError(f"cannot partition {n}")
-    out: list[tuple[int, ...]] = []
-
-    def rec(left: int, cap: int, prefix: tuple[int, ...]):
-        if left == 0:
-            out.append(prefix)
-            return
-        for k in range(min(left, cap), 0, -1):
-            rec(left - k, k, prefix + (k,))
-
-    rec(n, n, ())
-    return out
-
-
 def _chains(m: int, base: int):
     # divisor chains of multiples of base with product m, in order; () for m = 1
     for d in range(max(base, 2), isqrt(m) + 1, base):
@@ -403,15 +385,16 @@ def build_biproduct(spec: StructureSpec) -> FrobeniusCandidate:
     across blocks are undefined; the unit subset collects each block's unit.
     """
     n = spec.n
-    triples = []
-    bot = []
+    sources, targets, bot = [], [], []  # cells x*n + y, their products, the units
     offset = 0
     for b in spec.blocks:
         table = b.table() if isinstance(b, AbelianGroupSpec) else b.table
         m = len(table)
-        for x in range(m):
-            for y in range(m):
-                triples.append((offset + x, offset + y, offset + table[x][y]))
+        for x, row in enumerate(table):
+            cell = (offset + x) * n + offset
+            sources += range(cell, cell + m)
+            targets += [offset + z for z in row]
         bot.append(offset + _find_unit(table))
         offset += m
-    return FrobeniusCandidate.from_triples(n, triples, bot)
+    # in range: the tables' entries are elements, by construction or validation
+    return FrobeniusCandidate(n, Rel._with_converse(n * n, n, sources, targets), bot)

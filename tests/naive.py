@@ -12,15 +12,18 @@ skeleton by every permutation of its units, the reference for the types
 that ``search_classes`` generates.  ``parse_structure`` checks and converts
 a structure text line by line, the reference for the bulk parser.
 ``classical_masks`` copy-tests all 2^n subsets, the reference for the scan
-over the subsets of the points one unit fixes.
+over the subsets of the points one unit fixes.  ``structures`` takes the
+group choices per part of every integer partition and sorts the specs, the
+reference for the enumeration's walk, which emits them in order.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections import Counter
+from itertools import chain, combinations_with_replacement, permutations, product
 
 from relfrob import (BudgetExceededError, FrobeniusCandidate, Rel, StructureParseError,
-                     satisfies_axioms)
+                     StructureSpec, satisfies_axioms)
 from relfrob.frobenius import CARRIER_LIMIT, quoted
 
 
@@ -224,6 +227,39 @@ def skeleton_type(hom: dict) -> tuple:
     units, each unit in its own H(e, e)."""
     return min(tuple(len(hom.get((e, e2), ())) for e in p for e2 in p)
                for p in permutations(sorted({e for e, _ in hom})))
+
+
+def partitions(n: int) -> list[tuple[int, ...]]:
+    """Integer partitions of n, parts non-increasing, reverse-lexicographic.
+
+    partitions(0) is [()]: the empty carrier has the empty partition.
+    """
+    if n < 0:
+        raise ValueError(f"cannot partition {n}")
+    out: list[tuple[int, ...]] = []
+
+    def rec(left: int, cap: int, prefix: tuple[int, ...]):
+        if left == 0:
+            out.append(prefix)
+            return
+        for k in range(min(left, cap), 0, -1):
+            rec(left - k, k, prefix + (k,))
+
+    rec(n, n, ())
+    return out
+
+
+def structures(n: int, choices_per_order) -> list[StructureSpec]:
+    """The specs of n points in ``sort_key`` order: for each partition of n,
+    every multiset of choices_per_order(m) for the parts of size m."""
+    specs = []
+    choices = {m: choices_per_order(m) for m in range(1, n + 1)}
+    for part in partitions(n):
+        per_size = [combinations_with_replacement(choices[m], count)
+                    for m, count in sorted(Counter(part).items())]
+        for combo in product(*per_size):
+            specs.append(StructureSpec(tuple(chain.from_iterable(combo))))
+    return sorted(specs, key=StructureSpec.sort_key)
 
 
 def parse_structure(text: str) -> FrobeniusCandidate:

@@ -19,8 +19,8 @@ import relfrob.classify
 from relfrob import (AbelianGroupSpec, BudgetExceededError, SearchConfig,
                      brute_force_search, build_biproduct, cross_validate, decompose,
                      enumerate_classical_structures, enumerate_special_frobenius,
-                     partitions, quotient_by_iso, verify_structure)
-from relfrob.classify import ENUM_CARRIER_LIMIT, search_classes
+                     enumerate_abelian_groups, quotient_by_iso, verify_structure)
+from relfrob.classify import ENUM_CARRIER_LIMIT, SPECIAL_ENUM_LIMIT, search_classes
 from test_groups import abelian_group_count
 
 
@@ -53,18 +53,30 @@ def reference_classical_count(n: int) -> int:
 
 
 def test_partitions_pinned_lists():
-    assert partitions(0) == [()]
-    assert partitions(1) == [(1,)]
-    assert partitions(2) == [(2,), (1, 1)]
-    assert partitions(3) == [(3,), (2, 1), (1, 1, 1)]
-    assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    # the partitions under the enumeration reference in naive.py
+    assert naive.partitions(0) == [()]
+    assert naive.partitions(1) == [(1,)]
+    assert naive.partitions(2) == [(2,), (1, 1)]
+    assert naive.partitions(3) == [(3,), (2, 1), (1, 1, 1)]
+    assert naive.partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     with pytest.raises(ValueError):
-        partitions(-1)
+        naive.partitions(-1)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_partitions_match_reference(n):
-    assert partitions(n) == list(reference_partitions(n))
+    assert naive.partitions(n) == list(reference_partitions(n))
+
+
+def test_enumeration_equals_the_partition_reference():
+    # the walk in canonical order against partitions x choices, then a sort
+    for n in range(25):
+        assert enumerate_classical_structures(n) == naive.structures(
+            n, enumerate_abelian_groups), n
+    for n in range(SPECIAL_ENUM_LIMIT + 1):
+        assert enumerate_special_frobenius(n) == naive.structures(
+            n, lambda m: enumerate_abelian_groups(m)
+            + relfrob.groups.nonabelian_groups_of_order(m)), n
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 3), (4, 6),
@@ -94,19 +106,20 @@ def test_classical_counts_are_the_euler_transform_of_abelian_group_counts():
     # a classical structure is a multiset of abelian groups, so the classes
     # on n points are counted by the Euler transform of the number of
     # abelian groups of each order, itself from partitions of prime exponents
-    counts = euler_transform(abelian_group_count, 24)
+    counts = euler_transform(abelian_group_count, ENUM_CARRIER_LIMIT)
     assert counts[:13] == [1, 1, 2, 3, 6, 8, 13, 18, 30, 41, 60, 82, 121]
-    assert [len(enumerate_classical_structures(n)) for n in range(25)] == counts
+    assert [len(enumerate_classical_structures(n))
+            for n in range(ENUM_CARRIER_LIMIT + 1)] == counts
 
 
 def test_classical_enumeration_is_sorted_and_duplicate_free():
-    for enumerate_specs, n in ((enumerate_classical_structures, 7),
-                               (enumerate_classical_structures, 12),
-                               (enumerate_special_frobenius, 8)):
+    cases = ([(enumerate_classical_structures, n) for n in range(ENUM_CARRIER_LIMIT + 1)]
+             + [(enumerate_special_frobenius, n) for n in range(SPECIAL_ENUM_LIMIT + 1)])
+    for enumerate_specs, n in cases:
         specs = enumerate_specs(n)
-        assert len(set(specs)) == len(specs)
-        assert [s.sort_key() for s in specs] == sorted(s.sort_key() for s in specs)
-        assert all(s.n == n for s in specs)
+        keys = [s.sort_key() for s in specs]
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, and no spec twice
+        assert all(key[0] == n for key in keys)  # a key starts with the spec's n
         if enumerate_specs is enumerate_classical_structures:
             assert all(isinstance(b, AbelianGroupSpec) for s in specs for b in s.blocks)
 

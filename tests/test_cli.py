@@ -349,8 +349,8 @@ def test_carrier_cap_is_inclusive(capsys):
 
 def test_oversized_enumeration_exits_2_before_partitioning(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("partitions of a carrier over the bound were walked")
-    monkeypatch.setattr(relfrob.classify, "partitions", refuse)
+        raise AssertionError("the specs of a carrier over the bound were walked")
+    monkeypatch.setattr(relfrob.classify, "_structures_from_choices", refuse)
     code, out, err = run(capsys, "enumerate", "--n", "90")
     assert code == 2 and out == ""
     assert err == ("error: carrier size 90 exceeds the enumeration bound "
@@ -358,9 +358,11 @@ def test_oversized_enumeration_exits_2_before_partitioning(capsys, monkeypatch):
 
 
 def test_enumeration_bound_is_inclusive(capsys, monkeypatch):
-    monkeypatch.setattr(relfrob.classify, "partitions", lambda n: iter(()))
+    walked = []
+    monkeypatch.setattr(relfrob.classify, "_structures_from_choices",
+                        lambda n, choices: walked.append(n) or [])
     code, out, _ = run(capsys, "enumerate", "--n", str(ENUM_CARRIER_LIMIT))
-    assert code == 0
+    assert code == 0 and walked == [ENUM_CARRIER_LIMIT]
     assert out == f"total: 0 classical structures on {ENUM_CARRIER_LIMIT} points\n"
 
 
