@@ -5,7 +5,8 @@ lists the multisets of abelian groups of total order n in canonical order, while
 the search picks the units and each element's left and right unit, fills in the
 composable cells of the multiplication table, and keeps whatever passes the
 axiom checker.
-``search_classes`` fills one skeleton per relabeling type; ``relfrob
+``search_classes`` fills one skeleton per relabeling type, the one search walk;
+``brute_force_search`` lists the orbits of its representatives, ``relfrob
 brute-force`` prints its classes, and ``cross_validate`` compares them with the
 enumeration: the computational content of the classification, every
 commutative structure is a disjoint union of abelian groups.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import permutations
 from math import factorial
 
 from .frobenius import FrobeniusCandidate, satisfies_axioms
@@ -99,7 +100,8 @@ class SearchConfig:
 
 
 class BudgetExceededError(RuntimeError):
-    """Search ran out of node budget; carries what was found so far."""
+    """Search ran out of node budget; ``found`` holds the tables accepted
+    so far on the skeletons placed, one per type, not their orbits."""
 
     def __init__(self, explored: int, found: list):
         super().__init__(f"search budget exhausted after {explored} nodes")
@@ -110,72 +112,20 @@ class BudgetExceededError(RuntimeError):
 def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     """Every structure on the labeled carrier passing the axiom checker.
 
-    The labeled reference for ``search_classes``, read by the tests, the CI
-    check at n = 6, and the benchmark's classify workload and tracer.
-
-    The search first fixes a skeleton: the unit set ``bot`` and maps l, r
-    from the carrier to ``bot`` with l(e) = r(e) = e on ``bot``, and
-    l = r when commutative.  It keeps only skeletons in which a non-empty
-    hom-set H(e, e') = {x : l(x) = e, r(x) = e'} has a non-empty H(e', e).
-    The skeleton forces every cell but the composable cells between
-    non-units: x*y is undefined unless r(x) = l(y), and l(x)*x = x*r(x) =
-    x.  Each remaining cell x*y takes a z in H(l(x), r(y)) that repeats no
-    value of its row or its column and keeps associative every decided
-    triple that reads it as an inner product, (x, y, c) or (a, x, y).
-    Every leaf still runs the full ``satisfies_axioms``.
-    n is capped at ``SEARCH_CARRIER_LIMIT``; ``budget``, when given,
-    bounds the nodes explored: one per skeleton and one per cell value
-    tried.
-
-    The lemmas below hold in every single-valued table that passes the
-    axioms with unit set ``bot``.  So each such table defines a skeleton
-    the search keeps, and filling that skeleton reaches the table.
-
-    Inverses: the unit laws give e', e in bot with e'*x = x and x*e = x,
-    so the fiber at (x, e) contains (e', x).  Interchange makes that fiber
-    equal split-right(x, e) = {(x*a, b) : a*b = e}, so some a has
-    x*a = e' and a*x = e, both in bot.
-
-    Cancellation: let x*b = x*c = z be defined, and e in bot with x*e = x.
-    An inverse a has a*x = e.  Associativity in Rel equates definedness as
-    well as values, so x*b = (x*e)*b defined makes e*b defined, and the
-    left unit law gives e*b = b.  Then a*z = a*(x*b) = (a*x)*b = e*b = b,
-    and likewise a*z = c, so b = c.  Columns follow by the mirror argument.
-
-    Units: each x has exactly one e in bot with e*x = x, named l(x), and
-    exactly one with x*e = x, named r(x).  The unit laws give at least one
-    of each, and e*x = e'*x = x makes e = e' by cancellation.  For e in
-    bot, the right unit law at e puts l(e)*e = e in {l(e)}, so l(e) = e,
-    and likewise r(e) = e.  When commutative, l(x)*x = x*l(x) makes
-    l(x) = r(x).
-
-    Composability: x*y is defined iff r(x) = l(y).  If x*y is defined, so
-    is x*(l(y)*y) = (x*l(y))*y, so x*l(y) is defined.  The right unit law
-    puts it in {x}, so l(y) = r(x).  Conversely, if r(x) = l(y), then
-    split-left(x, y) = {(u, t*y) : u*t = x} contains (x, r(x)*y) = (x, y).
-    Interchange makes it the fiber at (x, y), which is then not empty, so
-    x*y is defined.
-
-    Hom-sets: if x*y = z, then l(z) = l(x) and r(z) = r(y), because
-    l(x)*z = (l(x)*x)*y = z and z*r(y) = x*(y*r(y)) = z.  An inverse of x
-    lies in H(r(x), l(x)), so a non-empty H(e, e') makes H(e', e)
-    non-empty.
+    The union of the orbits of ``search_classes``' representatives under
+    all n! relabelings, sorted by (triples, sorted ``bot``).  Each orbit
+    must have as many tables as its class size, which the route counts by
+    closed forms; by orbit-stabilizer it has n!/|Aut| of them, so a
+    mismatch raises ``RuntimeError``.  ``budget`` counts the class route's
+    nodes.
     """
-    return sorted(_fill(cfg, _walk, []),
-                  key=lambda c: (c.triples(), tuple(sorted(c.bot))))
-
-
-def _walk(n: int, commutative: bool):
-    # every labeled skeleton (bot, l, r), fewest units first
-    for size in range(n + 1):
-        for bot in combinations(range(n), size):
-            rest = [x for x in range(n) if x not in bot]
-            for lefts in product(bot, repeat=len(rest)):
-                for rights in [lefts] if commutative else product(bot, repeat=len(rest)):
-                    l, r = list(range(n)), list(range(n))
-                    for x, e, e2 in zip(rest, lefts, rights):
-                        l[x], r[x] = e, e2
-                    yield bot, l, r
+    n, keys = cfg.n, set()
+    for (triples, bot), size in _class_keys(cfg):
+        orbit = {_canonical_key(triples, bot, sigma) for sigma in permutations(range(n))}
+        if len(orbit) != size:
+            raise RuntimeError(f"a class of {size} tables has an orbit of {len(orbit)}")
+        keys |= orbit
+    return [FrobeniusCandidate.from_triples(n, triples, bot) for triples, bot in sorted(keys)]
 
 
 def _fill(cfg: SearchConfig, skeletons, found: list) -> list[FrobeniusCandidate]:
@@ -243,8 +193,6 @@ def _fill(cfg: SearchConfig, skeletons, found: list) -> list[FrobeniusCandidate]
         hom: dict[tuple[int, int], list[int]] = {}
         for x in range(n):
             hom.setdefault((l[x], r[x]), []).append(x)
-        if any((e2, e) not in hom for e, e2 in hom):
-            continue
         # l(y)*y = y and x*r(x) = x; every other cell starts empty
         table[:] = [[y if x == l[y] else x if y == r[x] else _EMPTY
                      for y in range(n)] for x in range(n)]
@@ -543,25 +491,67 @@ def _place(n: int, shapes) -> tuple:
 
 
 def search_classes(cfg: SearchConfig) -> list[tuple[FrobeniusCandidate, int]]:
-    """``quotient_by_iso(brute_force_search(cfg))``, filling one skeleton per type.
+    """The relabeling classes of the tables that pass the axiom checker,
+    as (representative, size), by filling one skeleton per type.
 
-    A skeleton's type is its matrix M of |H(e, e')| up to a simultaneous
-    permutation of the units.  No labeled skeleton is walked: the types
-    that can carry a table are generated, one labeled skeleton of each is
-    filled as ``brute_force_search`` fills it, and every leaf still runs
-    the full ``satisfies_axioms``.  A class found there has (skeletons of
-    the type) times (its tables there) members.  The budget counts one
-    node per generated skeleton and one per cell value tried; the types
-    with fewest units come first.
+    A skeleton is the unit set ``bot`` and maps l, r from the carrier to
+    ``bot`` with l(e) = r(e) = e on ``bot``, and l = r when commutative;
+    H(e, e') = {x : l(x) = e, r(x) = e'}.  It forces every cell but the
+    composable cells between non-units: x*y is undefined unless
+    r(x) = l(y), and l(x)*x = x*r(x) = x.  Each remaining cell x*y takes a
+    z in H(l(x), r(y)) that repeats no value of its row or its column and
+    keeps associative every decided triple that reads it as an inner
+    product, (x, y, c) or (a, x, y).  Every leaf still runs the full
+    ``satisfies_axioms``.  A skeleton's type is its matrix M of |H(e, e')|
+    up to a simultaneous permutation of the units.  Only the types that
+    can carry a table are generated, and one labeled skeleton of each is
+    filled.  A class found there has (skeletons of the type) times (its
+    tables there) members; its representative is the least key, as in
+    ``quotient_by_iso``.  n is capped at ``SEARCH_CARRIER_LIMIT``;
+    ``budget`` bounds the nodes: one per generated skeleton and one per
+    cell value tried, the types with fewest units first.
 
-    Every table has exactly one skeleton, by the unit lemmas of
-    ``brute_force_search``.  A relabeling tau carries l, r and ``bot``, so
-    it maps the tables on skeleton k bijectively onto those on tau k,
-    class by class, and H(e, e') onto H(tau e, tau e'), keeping the type.
-    Two skeletons of one type are related by a relabeling: match their
-    matrices by a unit permutation, then each H(e, e') with its image by a
-    bijection that sends the unit to the unit.  So a class lies on the
-    skeletons of one type, equally many of its tables on each.
+    The lemmas below hold in every single-valued table that passes the
+    axioms with unit set ``bot``.
+
+    Inverses: the unit laws give e', e in bot with e'*x = x and x*e = x,
+    so the fiber at (x, e) contains (e', x).  Interchange makes that fiber
+    equal split-right(x, e) = {(x*a, b) : a*b = e}, so some a has
+    x*a = e' and a*x = e, both in bot.
+
+    Cancellation: let x*b = x*c = z be defined, and e in bot with x*e = x.
+    An inverse a has a*x = e.  Associativity in Rel equates definedness as
+    well as values, so x*b = (x*e)*b defined makes e*b defined, and the
+    left unit law gives e*b = b.  Then a*z = a*(x*b) = (a*x)*b = e*b = b,
+    and likewise a*z = c, so b = c.  Columns follow by the mirror argument.
+
+    Units: each x has exactly one e in bot with e*x = x, named l(x), and
+    exactly one with x*e = x, named r(x).  The unit laws give at least one
+    of each, and e*x = e'*x = x makes e = e' by cancellation.  For e in
+    bot, the right unit law at e puts l(e)*e = e in {l(e)}, so l(e) = e,
+    and likewise r(e) = e.  When commutative, l(x)*x = x*l(x) makes
+    l(x) = r(x).
+
+    Composability: x*y is defined iff r(x) = l(y).  If x*y is defined, so
+    is x*(l(y)*y) = (x*l(y))*y, so x*l(y) is defined.  The right unit law
+    puts it in {x}, so l(y) = r(x).  Conversely, if r(x) = l(y), then
+    split-left(x, y) = {(u, t*y) : u*t = x} contains (x, r(x)*y) = (x, y).
+    Interchange makes it the fiber at (x, y), which is then not empty, so
+    x*y is defined.
+
+    Hom-sets: if x*y = z, then l(z) = l(x) and r(z) = r(y), because
+    l(x)*z = (l(x)*x)*y = z and z*r(y) = x*(y*r(y)) = z.  An inverse of x
+    lies in H(r(x), l(x)), so a non-empty H(e, e') makes H(e', e)
+    non-empty.
+
+    Every table has exactly one skeleton, by the unit lemmas.  A
+    relabeling tau carries l, r and ``bot``, so it maps the tables on
+    skeleton k bijectively onto those on tau k, class by class, and
+    H(e, e') onto H(tau e, tau e'), keeping the type.  Two skeletons of one
+    type are related by a relabeling: match their matrices by a unit
+    permutation, then each H(e, e') with its image by a bijection that
+    sends the unit to the unit.  So a class lies on the skeletons of one
+    type, equally many of its tables on each.
 
     Which types carry a table, by the same lemmas, in any table with
     skeleton l, r:
@@ -590,6 +580,12 @@ def search_classes(cfg: SearchConfig) -> list[tuple[FrobeniusCandidate, int]]:
     unit, and each such choice is one relabeling.  For a multiset of shapes
     with shape (k, m) taken c times, |Aut M| = prod k!^c * c!.
     """
+    return [(FrobeniusCandidate.from_triples(cfg.n, triples, bot), size)
+            for (triples, bot), size in _class_keys(cfg)]
+
+
+def _class_keys(cfg: SearchConfig) -> list[tuple[tuple, int]]:
+    # search_classes with each representative as its key, in order
     found: list[FrobeniusCandidate] = []
     types: list[tuple[int, int]] = []  # (its skeletons, index of its first table)
 
@@ -601,10 +597,8 @@ def search_classes(cfg: SearchConfig) -> list[tuple[FrobeniusCandidate, int]]:
 
     _fill(cfg, placed, found)
     ends = [start for _, start in types][1:] + [len(found)]
-    classes = sorted((key, count * size) for (count, start), end in zip(types, ends)
-                     for key, size in _classes(found[start:end]))
-    return [(FrobeniusCandidate.from_triples(cfg.n, triples, bot), size)
-            for (triples, bot), size in classes]
+    return sorted((key, count * size) for (count, start), end in zip(types, ends)
+                  for key, size in _classes(found[start:end]))
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ from pathlib import Path
 from typing import Callable, Iterator
 from unittest import mock
 
-from relfrob import (FrobeniusCandidate, GroupSpec, SearchConfig, brute_force_search,
-                     build_biproduct, enumerate_classical_structures,
-                     enumerate_special_frobenius, parse_structure, parse_structure_spec)
+import naive
+from relfrob import (FrobeniusCandidate, GroupSpec, SearchConfig, build_biproduct,
+                     enumerate_classical_structures, enumerate_special_frobenius,
+                     parse_structure, parse_structure_spec)
 from relfrob import classify, cli
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
@@ -150,15 +151,16 @@ def extremal() -> Iterator[Table]:
 
 
 def search_leaves() -> Iterator[Table]:
-    """Every table the search verifies up to 5 points, in both modes: the
-    candidates passed to ``satisfies_axioms``, accepted or not."""
+    """Every table the labeled reference search verifies up to 5 points, in
+    both modes: the candidates passed to ``satisfies_axioms``, accepted or
+    not."""
     seen: list[FrobeniusCandidate] = []
     check = classify.satisfies_axioms
     with mock.patch.object(classify, "satisfies_axioms",
                            lambda c, commutative=True: seen.append(c) or check(c, commutative)):
         for n in range(6):
             for commutative in (True, False):
-                brute_force_search(SearchConfig(n, require_commutative=commutative))
+                naive.labeled_search(SearchConfig(n, require_commutative=commutative))
     for k, c in enumerate(seen):
         yield f"leaf[n={c.n}#{k}]", c.n, list(c.triples()), sorted(c.bot)
 

@@ -4,7 +4,11 @@ Relations here are frozensets of (source, target) pairs with the carrier
 sizes passed explicitly.  Everything is written for obviousness rather
 than speed, so it can act as an independent check on the bitset code.
 ``search`` is a cell-by-cell table search, a different algorithm from the
-skeleton-first ``brute_force_search`` and the reference for its results.
+skeleton-first search and the reference for its results.
+``labeled_search`` fills every labeled skeleton that ``labeled_skeletons``
+walks, with the fill of the class route: the labeled reference that the
+class route's classes, and the orbits ``brute_force_search`` lists, are
+checked against.
 ``quotient`` keys every table by all n! relabelings (``least_key``), the
 reference for the classes of ``quotient_by_iso`` and for its branch and
 bound representatives.  ``skeleton_type`` canonicalizes a labeled
@@ -20,10 +24,12 @@ reference for the enumeration's walk, which emits them in order.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import (chain, combinations, combinations_with_replacement, permutations,
+                       product)
 
 from relfrob import (BudgetExceededError, FrobeniusCandidate, Rel, StructureParseError,
                      StructureSpec, satisfies_axioms)
+from relfrob.classify import _fill
 from relfrob.frobenius import CARRIER_LIMIT, quoted
 
 
@@ -115,7 +121,7 @@ def frobenius_sets_at(n: int, triples, i: int, j: int) -> tuple:
 def search(n: int, commutative: bool = True, budget: int | None = None):
     """A cell-by-cell table search, with every prune rule recomputed by rescanning.
 
-    Unlike ``brute_force_search``, it fixes no units in advance: each cell
+    Unlike the skeleton-first search, it fixes no units in advance: each cell
     takes every value and "undefined" in turn, and the unit set of a leaf
     is the set of its two-sided partial identities.  It prunes by four
     rules, each rescanned at every node: cancellation (no row and no
@@ -123,7 +129,7 @@ def search(n: int, commutative: bool = True, budget: int | None = None):
     cells, unit coverage (every x keeps a possible unit on each side) and
     inverses (every x keeps an a with x*a and a*x possible units).
     Cancellation and inverses rest on the lemmas proved for
-    ``brute_force_search``.  A cell never changes below the node that
+    ``search_classes``.  A cell never changes below the node that
     decides it, so a unit ruled out at a node stays ruled out below it,
     and a rule that fails at a node fails at every leaf below it.
     Returns the found candidates, sorted as the search sorts them, and the
@@ -198,6 +204,32 @@ def search(n: int, commutative: bool = True, budget: int | None = None):
     descend(0)
     found.sort(key=lambda c: (c.triples(), tuple(sorted(c.bot))))
     return found, explored
+
+
+def labeled_skeletons(n: int, commutative: bool):
+    """Every labeled skeleton (bot, l, r), fewest units first, in which
+    each non-empty H(e, e') has a non-empty H(e', e), as the hom-set lemma
+    of ``search_classes`` requires of a skeleton that carries a table."""
+    for size in range(n + 1):
+        for bot in combinations(range(n), size):
+            rest = [x for x in range(n) if x not in bot]
+            for lefts in product(bot, repeat=len(rest)):
+                for rights in [lefts] if commutative else product(bot, repeat=len(rest)):
+                    l, r = list(range(n)), list(range(n))
+                    for x, e, e2 in zip(rest, lefts, rights):
+                        l[x], r[x] = e, e2
+                    hom = set(zip(l, r))
+                    if all((e2, e) in hom for e, e2 in hom):
+                        yield bot, l, r
+
+
+def labeled_search(cfg) -> list[FrobeniusCandidate]:
+    """Every table on the labeled carrier that passes the axiom checker,
+    sorted by (triples, sorted bot): each labeled skeleton filled as the
+    class route fills its one skeleton per type.  ``cfg.budget`` counts one
+    node per labeled skeleton and one per cell value tried."""
+    return sorted(_fill(cfg, labeled_skeletons, []),
+                  key=lambda c: (c.triples(), tuple(sorted(c.bot))))
 
 
 def least_key(n: int, triples, bot) -> tuple:

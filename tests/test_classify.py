@@ -311,7 +311,8 @@ def test_composability_lemma_needs_interchange():
 
 
 def _search_and_leaves(monkeypatch, n: int, commutative: bool):
-    """The search's results and the leaves it ran ``satisfies_axioms`` on."""
+    """The labeled reference search's results and the leaves it ran
+    ``satisfies_axioms`` on."""
     verified = []
     check = relfrob.classify.satisfies_axioms
 
@@ -320,7 +321,7 @@ def _search_and_leaves(monkeypatch, n: int, commutative: bool):
         return check(cand, commutative)
 
     monkeypatch.setattr(relfrob.classify, "satisfies_axioms", spy)
-    return brute_force_search(SearchConfig(n, require_commutative=commutative)), verified
+    return naive.labeled_search(SearchConfig(n, require_commutative=commutative)), verified
 
 
 @pytest.mark.parametrize("commutative,accepted", [(True, 53), (False, 65)])
@@ -343,19 +344,11 @@ def test_noncommutative_search_at_the_search_bound():
     assert len(classes) == 9 and sum(size for _, size in classes) == 341
 
 
-# nodes the full search explores: one per skeleton and one per cell value tried
-SEARCH_NODES = {(0, True): 1, (0, False): 1, (1, True): 1, (1, False): 1,
-                (2, True): 7, (2, False): 7, (3, True): 58, (3, False): 73,
-                (4, True): 577, (4, False): 909, (5, True): 5476, (5, False): 10006}
-
-
-@pytest.mark.parametrize("commutative,nodes", [(c, SEARCH_NODES[4, c]) for c in (True, False)])
-def test_search_node_count_n4(commutative, nodes):
-    # the least budget that completes is the number of nodes explored
-    brute_force_search(SearchConfig(4, require_commutative=commutative, budget=nodes))
-    with pytest.raises(BudgetExceededError) as info:
-        brute_force_search(SearchConfig(4, require_commutative=commutative, budget=nodes - 1))
-    assert info.value.explored == nodes
+# nodes the class route explores: one per generated skeleton and one per
+# cell value tried in it
+CLASS_NODES = {(0, True): 1, (0, False): 1, (1, True): 1, (1, False): 1,
+               (2, True): 4, (2, False): 4, (3, True): 17, (3, False): 20,
+               (4, True): 103, (4, False): 153, (5, True): 559, (5, False): 892}
 
 
 def _keys(cands) -> list:
@@ -366,20 +359,25 @@ def _keys(cands) -> list:
 @pytest.mark.parametrize("n", range(6))
 def test_search_matches_reference_search(n, commutative):
     # the skeleton search must find what the cell-by-cell reference search
-    # finds; at every budget it stops after budget + 1 nodes with a subset
-    # of the full result, and the node total is the least budget that completes
+    # finds; at every budget it stops after budget + 1 nodes of the class
+    # route with a subset of the full result, where search_classes stops
+    # with the same tables found, and the node total is the least budget
+    # that completes
     want, _ = naive.search(n, commutative)
     full = _keys(brute_force_search(SearchConfig(n, commutative)))
     assert full == _keys(want)
-    total = SEARCH_NODES[n, commutative]
-    if n <= 3:
+    total = CLASS_NODES[n, commutative]
+    if n <= 4:
         budgets = range(total)
     else:
         budgets = sorted({0, 1, total - 1} | {total * k // 17 for k in range(1, 17)})
     for budget in budgets:
         with pytest.raises(BudgetExceededError) as info:
             brute_force_search(SearchConfig(n, commutative, budget))
-        assert info.value.explored == budget + 1
+        with pytest.raises(BudgetExceededError) as classes:
+            search_classes(SearchConfig(n, commutative, budget))
+        assert info.value.explored == classes.value.explored == budget + 1
+        assert _keys(info.value.found) == _keys(classes.value.found), budget
         assert set(_keys(info.value.found)) <= set(full)
     assert _keys(brute_force_search(SearchConfig(n, commutative, total))) == full
 
@@ -616,7 +614,7 @@ def test_search_classes_match_the_labeled_quotient(n, commutative):
     # one skeleton filled per type, the rest counted: the same
     # representatives, sizes and order as quotienting every labeled table
     cfg = SearchConfig(n, commutative)
-    assert class_keys(search_classes(cfg)) == quotient_keys(brute_force_search(cfg))
+    assert class_keys(search_classes(cfg)) == quotient_keys(naive.labeled_search(cfg))
 
 
 @pytest.mark.parametrize("commutative,counts", [(True, [1, 1, 3, 10, 53, 281]),
@@ -626,13 +624,7 @@ def test_search_class_sizes_sum_to_the_labeled_counts(commutative, counts):
             for n in range(6)] == counts
 
 
-# nodes the class route explores: one per generated skeleton and one per
-# cell value tried in it
-CLASS_NODES = {(3, True): 17, (3, False): 20, (4, True): 103, (4, False): 153,
-               (5, True): 559, (5, False): 892}
-
-
-@pytest.mark.parametrize("n,commutative", sorted(CLASS_NODES))
+@pytest.mark.parametrize("n,commutative", [key for key in sorted(CLASS_NODES) if key[0] >= 3])
 def test_search_classes_node_count(n, commutative):
     # the least budget that completes is the number of nodes explored, and
     # what an exhausted budget found is a subset of the labeled tables
@@ -641,8 +633,33 @@ def test_search_classes_node_count(n, commutative):
     with pytest.raises(BudgetExceededError) as info:
         search_classes(SearchConfig(n, commutative, total - 1))
     assert info.value.explored == total
-    labeled = set(_keys(brute_force_search(SearchConfig(n, commutative))))
+    labeled = set(_keys(naive.labeled_search(SearchConfig(n, commutative))))
     assert set(_keys(info.value.found)) <= labeled
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+@pytest.mark.parametrize("n", range(6))
+def test_brute_force_search_equals_the_labeled_reference(n, commutative):
+    # the orbits of the class representatives against every labeled
+    # skeleton filled, list for list
+    cfg = SearchConfig(n, commutative)
+    assert brute_force_search(cfg) == naive.labeled_search(cfg)
+
+
+@pytest.mark.parametrize("commutative", [True, False])
+def test_brute_force_search_checks_each_orbit_against_its_class_size(monkeypatch, commutative):
+    # a class size that disagrees with orbit-stabilizer is an error, not a
+    # silently shorter or longer list; the first type at n = 3 is the
+    # one-unit shape, Z3 on 3 labeled skeletons
+    classes = relfrob.classify._classes
+
+    def doubled(cands):
+        (key, size), *rest = classes(cands)
+        return [(key, 2 * size), *rest]
+
+    monkeypatch.setattr(relfrob.classify, "_classes", doubled)
+    with pytest.raises(RuntimeError, match="a class of 6 tables has an orbit of 3"):
+        brute_force_search(SearchConfig(3, commutative))
 
 
 def hom_sets(l, r) -> dict:
@@ -655,8 +672,7 @@ def hom_sets(l, r) -> dict:
 
 def skeletons(n: int, commutative: bool) -> list[dict]:
     """The hom-sets of every labeled skeleton the labeled search keeps."""
-    homs = [hom_sets(l, r) for _, l, r in relfrob.classify._walk(n, commutative)]
-    return [hom for hom in homs if all((e2, e) in hom for e, e2 in hom)]
+    return [hom_sets(l, r) for _, l, r in naive.labeled_skeletons(n, commutative)]
 
 
 def relabel_skeleton(hom: dict, tau) -> dict:
@@ -740,7 +756,7 @@ def test_every_labeled_table_has_a_generated_type(n, commutative):
     for shapes in relfrob.classify._skeleton_types(n, commutative):
         _, l, r, _ = relfrob.classify._place(n, shapes)
         generated.add(naive.skeleton_type(hom_sets(l, r)))
-    for c in brute_force_search(SearchConfig(n, commutative)):
+    for c in naive.labeled_search(SearchConfig(n, commutative)):
         l = {x: e for e, x, z in c.triples() if e in c.bot and z == x}
         r = {x: e for x, e, z in c.triples() if e in c.bot and z == x}
         hom = hom_sets([l[x] for x in range(n)], [r[x] for x in range(n)])

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import naive
 import relfrob
 import relfrob.classify
 import relfrob.cli
@@ -204,7 +205,7 @@ def test_brute_force_reports_the_labeled_quotient(capsys, n, commutative):
     # the command runs the class route; its payload is the one the labeled
     # route gives: every labeled table searched, then quotiented
     cfg = relfrob.SearchConfig(n, commutative)
-    cands = relfrob.brute_force_search(cfg)
+    cands = naive.labeled_search(cfg)
     want = {"n": n, "commutative_required": commutative, "count": len(cands),
             "classes": [{"triples": [list(t) for t in rep.triples()],
                          "bot": sorted(rep.bot), "size": size}
@@ -216,9 +217,9 @@ def test_brute_force_reports_the_labeled_quotient(capsys, n, commutative):
 
 
 def test_brute_force_and_cross_validate_share_one_budget(capsys):
-    # both commands generate the same skeletons and fill them alike, so a
-    # budget stops them at the same node with the same tables found; the
-    # class route explores 17 nodes at n = 3
+    # both commands and the library's brute_force_search generate the same
+    # skeletons and fill them alike, so a budget stops them at the same node
+    # with the same tables found; the class route explores 17 nodes at n = 3
     for budget in range(41):
         code, _, err = run(capsys, "brute-force", "--n", "3", "--budget", str(budget))
         cross_code, _, cross_err = run(capsys, "cross-validate", "--n", "3",
@@ -227,16 +228,19 @@ def test_brute_force_and_cross_validate_share_one_budget(capsys):
         if budget < 17:
             assert code == 1
             assert err.startswith(f"error: search budget exhausted after {budget + 1} nodes")
+            with pytest.raises(relfrob.BudgetExceededError) as info:
+                relfrob.brute_force_search(relfrob.SearchConfig(3, budget=budget))
+            assert err == f"error: {info.value} ({len(info.value.found)} candidates found so far)\n"
         else:
             assert (code, err) == (0, "")
+            assert len(relfrob.brute_force_search(relfrob.SearchConfig(3, budget=budget))) == 10
 
 
 @pytest.mark.parametrize("commutative,budget", [(True, 15), (False, 18)])
 def test_brute_force_budget_counts_the_class_walk(capsys, commutative, budget):
-    # the least budgets at which brute-force and the labeled route part:
-    # the class route places one skeleton per generated type and walks no
-    # labeled skeleton, so by then it has found two tables where the
-    # labeled walk has found one
+    # by these budgets the class route has placed one skeleton per type
+    # and found two tables there, where a walk over every labeled skeleton
+    # would have found one; the command and the library stop alike
     mode = [] if commutative else ["--no-commutative"]
     code, out, err = run(capsys, "brute-force", "--n", "3", *mode, "--budget", str(budget))
     assert (code, out) == (1, "")
@@ -244,7 +248,7 @@ def test_brute_force_budget_counts_the_class_walk(capsys, commutative, budget):
                    " (2 candidates found so far)\n")
     with pytest.raises(relfrob.BudgetExceededError) as info:
         relfrob.brute_force_search(relfrob.SearchConfig(3, commutative, budget))
-    assert (info.value.explored, len(info.value.found)) == (budget + 1, 1)
+    assert (info.value.explored, len(info.value.found)) == (budget + 1, 2)
 
 
 def test_brute_force_singular_grammar(capsys):
