@@ -231,11 +231,6 @@ def _refine(triples, colour: list[int], ids: dict) -> list[int]:
     return colour
 
 
-def _colours(n: int, triples, bot, ids: dict) -> list[int]:
-    # the refined colouring from membership of bot
-    return _refine(triples, [ids.setdefault(x in bot, len(ids)) for x in range(n)], ids)
-
-
 def _swap_test(n: int, triples, bot):
     # whether swapping x and y maps the table and bot onto themselves
     held = set(triples)
@@ -256,7 +251,7 @@ def _swap_test(n: int, triples, bot):
 def _leaf_keys(n: int, triples, bot, ids: dict):
     # the key of each leaf of the individualization-refinement tree, twins
     # pruned, depth first; twins are found only once a second child is due
-    root = _colours(n, triples, bot, ids)
+    root = _refine(triples, [ids.setdefault(x in bot, len(ids)) for x in range(n)], ids)
     twins: list = []  # the swap test, made once a second child is due
 
     def visit(colour: list[int]):

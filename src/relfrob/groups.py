@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from itertools import permutations
 from math import gcd, isqrt, lcm, prod
+from operator import attrgetter
 
 from .frobenius import CARRIER_LIMIT, FrobeniusCandidate, quoted
 from .rel import Rel
@@ -40,6 +41,7 @@ class AbelianGroupSpec:
     def __post_init__(self):
         fs = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", fs)
+        object.__setattr__(self, "_key", (prod(fs), 0, fs))  # see _block_key
         for d in fs:
             if d < 2:
                 raise ValueError(f"invariant factor {d} is below 2")
@@ -49,7 +51,7 @@ class AbelianGroupSpec:
 
     @property
     def order(self) -> int:
-        return prod(self.invariant_factors)
+        return self._key[0]
 
     @property
     def label(self) -> str:
@@ -108,6 +110,7 @@ class GroupSpec:
     def __post_init__(self):
         table = tuple(tuple(row) for row in self.table)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_key", (len(table), 1, self.name or "", table))  # see _block_key
         n = len(table)
         for x, row in enumerate(table):
             if len(row) != n:
@@ -303,10 +306,9 @@ def identify_group(table) -> GroupSpec:
     return spec
 
 
-def _block_key(b) -> tuple:
-    if isinstance(b, AbelianGroupSpec):
-        return (b.order, 0, b.invariant_factors)
-    return (b.order, 1, b.name or "", b.table)
+# a block's place in a spec: by order, abelian before not, then by factors
+# or by name and table; each block computes it once, when it is built
+_block_key = attrgetter("_key")
 
 
 @dataclass(frozen=True)
@@ -329,7 +331,7 @@ class StructureSpec:
         return " + ".join(b.label for b in self.blocks)
 
     def sort_key(self) -> tuple:
-        return (self.n, len(self.blocks), tuple(_block_key(b) for b in self.blocks))
+        return (self.n, len(self.blocks), tuple(map(_block_key, self.blocks)))
 
 
 _NAME_TOKEN = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")

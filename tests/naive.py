@@ -14,7 +14,8 @@ reference for the classes of ``quotient_by_iso`` and for its branch and
 bound representatives.  ``skeleton_type`` canonicalizes a labeled
 skeleton by every permutation of its units, the reference for the types
 that ``search_classes`` generates.  ``parse_structure`` checks and converts
-a structure text line by line, the reference for the bulk parser.
+a structure text line by line, triple by triple and unit by unit, the
+reference for the parser, which checks all the triples at once.
 ``classical_masks`` copy-tests all 2^n subsets, the reference for the scan
 over the subsets of the points one unit fixes.  ``structures`` takes the
 group choices per part of every integer partition and sorts the specs, the

@@ -516,8 +516,10 @@ def test_colours_and_keys_move_with_relabeling(special_frobenius_structures):
         for _ in range(3):
             moved, sigma = relabeled(rng, c)
             ids: dict = {}
-            colour = relfrob.classify._colours(c.n, c.triples(), c.bot, ids)
-            moved_colour = relfrob.classify._colours(c.n, moved.triples(), moved.bot, ids)
+            colour, moved_colour = (  # the root colouring of _leaf_keys
+                relfrob.classify._refine(t.triples(), [ids.setdefault(x in t.bot, len(ids))
+                                                       for x in range(t.n)], ids)
+                for t in (c, moved))
             assert [moved_colour[sigma[x]] for x in range(c.n)] == colour, c
             leaves = set(relfrob.classify._leaf_keys(c.n, c.triples(), c.bot, ids))
             moved_leaves = relfrob.classify._leaf_keys(c.n, moved.triples(), moved.bot, ids)

@@ -110,6 +110,22 @@ def test_nabla_line_cap_is_inclusive():
     assert len(parse_structure(text).triples()) == n * n
 
 
+def test_full_table_at_the_cap_parses_in_memory_proportional_to_the_text():
+    # Z128: 16 386 lines, each held as one tuple of its values while the
+    # text is walked, and the lines let go once read
+    n = CARRIER_LIMIT
+    text = f"n {n}\nbot 0\n" + "".join(f"nabla {x} {y} {(x + y) % n}\n"
+                                        for x in range(n) for y in range(n))
+    tracemalloc.start()
+    try:
+        c = parse_structure(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text.splitlines()) == 16_386 and c.bot == {0} and c.is_single_valued()
+    assert peak <= 20 * len(text), f"peak {peak} B for a {len(text)} B text"
+
+
 LONG_LINE = " ".join(["0"] * 100_000)
 
 
@@ -153,8 +169,8 @@ def test_nabla_lines_past_the_cap_fail_in_memory_proportional_to_the_text():
 
 
 def test_nabla_words_past_the_cap_in_a_comment_parse_as_without_it(z3):
-    # more nabla words than the cap walks the text line by line first; a
-    # valid text then parses as it does without them
+    # nabla words in a comment count toward no cap; a valid text parses as
+    # it does without them
     text = render_structure(z3)
     again = parse_structure("# " + "nabla " * (CARRIER_LIMIT ** 2 + 1) + "\n" + text)
     assert again == z3 and again.delta == z3.delta
