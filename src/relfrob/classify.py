@@ -5,11 +5,13 @@ lists the multisets of abelian groups of total order n in canonical order, while
 the search picks the units and each element's left and right unit, fills in the
 composable cells of the multiplication table, and keeps whatever passes the
 axiom checker.
-``search_classes`` fills one skeleton per relabeling type, the one search walk;
+``search_classes`` fills one skeleton per relabeling type, the one search walk,
+and quotients each type's tables as they are filled;
 ``brute_force_search`` lists the orbits of its representatives, ``relfrob
 brute-force`` prints its classes, and ``cross_validate`` compares them with the
 enumeration: the computational content of the classification, every
 commutative structure is a disjoint union of abelian groups.
+The search and the relabeling quotient share one cap, ``SEARCH_CARRIER_LIMIT``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .groups import (StructureSpec, _block_key, enumerate_abelian_groups,
 from .rel import Rel
 
 SEARCH_CARRIER_LIMIT = 6
-QUOTIENT_CARRIER_LIMIT = 6
 SPECIAL_ENUM_LIMIT = 8
 ENUM_CARRIER_LIMIT = 32
 
@@ -128,10 +129,10 @@ def brute_force_search(cfg: SearchConfig) -> list[FrobeniusCandidate]:
     return [FrobeniusCandidate.from_triples(n, triples, bot) for triples, bot in sorted(keys)]
 
 
-def _fill(cfg: SearchConfig, skeletons, found: list) -> list[FrobeniusCandidate]:
-    # fills each skeleton (bot, l, r) that skeletons(n, commutative) yields
-    # and appends the tables that pass to found; one node per skeleton and
-    # one per cell value tried
+def _fill(cfg: SearchConfig, skeletons):
+    # fills each skeleton (bot, l, r, count) that skeletons(n, commutative)
+    # yields, and yields count and the tables on the skeleton that pass; one
+    # node per skeleton and one per cell value tried
     n, budget, commutative = cfg.n, cfg.budget, cfg.require_commutative
     if n < 0:
         raise ValueError(f"carrier size {n} is negative")
@@ -142,6 +143,7 @@ def _fill(cfg: SearchConfig, skeletons, found: list) -> list[FrobeniusCandidate]
         raise ValueError(f"budget {budget} is negative")
 
     table: list[list[int]] = []
+    found: list[FrobeniusCandidate] = []  # every table accepted so far
     explored = 0
 
     def tried():
@@ -188,7 +190,7 @@ def _fill(cfg: SearchConfig, skeletons, found: list) -> list[FrobeniusCandidate]
             if commutative:
                 table[q][p] = _EMPTY
 
-    for bot, l, r in skeletons(n, commutative):
+    for bot, l, r, count in skeletons(n, commutative):
         tried()
         hom: dict[tuple[int, int], list[int]] = {}
         for x in range(n):
@@ -200,8 +202,9 @@ def _fill(cfg: SearchConfig, skeletons, found: list) -> list[FrobeniusCandidate]
         rest = [x for x in range(n) if x not in bot]
         cells = [(x, y, hom.get((l[x], r[y]), ())) for x in rest for y in rest
                  if r[x] == l[y] and (x <= y or not commutative)]
+        start = len(found)
         fill(cells, 0, bot)
-    return found
+        yield count, found[start:]
 
 
 def _canonical_key(triples, bot, sigma) -> tuple:
@@ -413,6 +416,8 @@ def quotient_by_iso(cands: list[FrobeniusCandidate]) -> list[tuple[FrobeniusCand
     pruned as in the class keys: a completion that gives the next label to
     y is, composed with the swap, one that gives it to x, with the same
     key.  So the result is the least key over all n! relabelings.
+
+    n is capped at ``SEARCH_CARRIER_LIMIT``, the search's cap.
     """
     return [(FrobeniusCandidate.from_triples(cands[0].n, triples, bot), size)
             for (triples, bot), size in _classes(cands)]
@@ -425,9 +430,9 @@ def _classes(cands: list[FrobeniusCandidate]) -> list[tuple[tuple, int]]:
     n = cands[0].n
     if any(c.n != n for c in cands):
         raise ValueError("candidates must share one carrier size")
-    if n > QUOTIENT_CARRIER_LIMIT:
+    if n > SEARCH_CARRIER_LIMIT:
         raise ValueError(
-            f"carrier size {n} exceeds the relabeling bound {QUOTIENT_CARRIER_LIMIT}")
+            f"carrier size {n} exceeds the relabeling bound {SEARCH_CARRIER_LIMIT}")
     classes = [[1, cands[0].triples(), cands[0].bot]]  # [size, triples, bot] of a member
     if len(cands) > 1:
         ids: dict = {}
@@ -444,45 +449,42 @@ def _classes(cands: list[FrobeniusCandidate]) -> list[tuple[tuple, int]]:
     return sorted((_least_key(n, triples, bot), size) for size, triples, bot in classes)
 
 
-def _skeleton_types(n: int, commutative: bool) -> list[tuple[tuple[int, int], ...]]:
-    # the multisets of connected shapes (k, m) with sum k*k*m = n, fewest
-    # units first; a shape has k units and k*k hom-sets of m points each
-    shapes = [(k, m) for k in range(1, 2 if commutative else n + 1)
-              for m in range(n, 0, -1) if k * k * m <= n]
+def _skeletons(n: int, commutative: bool):
+    # per type, fewest units first: one labeled skeleton (bot, l, r) of it
+    # and how many labeled skeletons the type has.  A type is a multiset of
+    # connected shapes (k, m) with sum k*k*m = n; a shape has k units and
+    # k*k hom-sets of m points each, and is placed with its units first,
+    # then its hom-sets row by row
+    kinds = [(k, m) for k in range(1, 2 if commutative else n + 1)
+             for m in range(n, 0, -1) if k * k * m <= n]
 
     def multisets(rest: int, first: int):
         if rest == 0:
             yield ()
-        for i in range(first, len(shapes)):
-            k, m = shapes[i]
+        for i in range(first, len(kinds)):
+            k, m = kinds[i]
             if k * k * m <= rest:
                 for tail in multisets(rest - k * k * m, i):
                     yield ((k, m),) + tail
 
-    return sorted(multisets(n, 0), key=lambda shapes: sum(k for k, _ in shapes))
-
-
-def _place(n: int, shapes) -> tuple:
-    # one labeled skeleton (bot, l, r) of the type, shape after shape, each
-    # shape's units first, then its hom-sets row by row; and how many
-    # labeled skeletons the type has
-    bot: list[int] = []
-    l: list[int] = []
-    r: list[int] = []
-    for k, m in shapes:
-        units = range(len(l), len(l) + k)
-        bot += units
-        l += units
-        r += units
-        for e in units:
-            for e2 in units:
-                l += [e] * (m - (e == e2))
-                r += [e2] * (m - (e == e2))
-    fixing = 1
-    for (k, m), c in Counter(shapes).items():
-        fixing *= (factorial(k) ** c * factorial(c) * factorial(m) ** (k * (k - 1) * c)
-                   * factorial(m - 1) ** (k * c))
-    return tuple(bot), l, r, factorial(n) // fixing
+    for shapes in sorted(multisets(n, 0), key=lambda t: sum(k for k, _ in t)):
+        bot: list[int] = []
+        l: list[int] = []
+        r: list[int] = []
+        for k, m in shapes:
+            units = range(len(l), len(l) + k)
+            bot += units
+            l += units
+            r += units
+            for e in units:
+                for e2 in units:
+                    l += [e] * (m - (e == e2))
+                    r += [e2] * (m - (e == e2))
+        fixing = 1
+        for (k, m), c in Counter(shapes).items():
+            fixing *= (factorial(k) ** c * factorial(c) * factorial(m) ** (k * (k - 1) * c)
+                       * factorial(m - 1) ** (k * c))
+        yield tuple(bot), l, r, factorial(n) // fixing
 
 
 def search_classes(cfg: SearchConfig) -> list[tuple[FrobeniusCandidate, int]]:
@@ -502,7 +504,8 @@ def search_classes(cfg: SearchConfig) -> list[tuple[FrobeniusCandidate, int]]:
     can carry a table are generated, and one labeled skeleton of each is
     filled.  A class found there has (skeletons of the type) times (its
     tables there) members; its representative is the least key, as in
-    ``quotient_by_iso``.  n is capped at ``SEARCH_CARRIER_LIMIT``;
+    ``quotient_by_iso``.  n is capped at ``SEARCH_CARRIER_LIMIT``, checked
+    before any type is generated, and the quotient shares that cap;
     ``budget`` bounds the nodes: one per generated skeleton and one per
     cell value tried, the types with fewest units first.
 
@@ -581,19 +584,8 @@ def search_classes(cfg: SearchConfig) -> list[tuple[FrobeniusCandidate, int]]:
 
 def _class_keys(cfg: SearchConfig) -> list[tuple[tuple, int]]:
     # search_classes with each representative as its key, in order
-    found: list[FrobeniusCandidate] = []
-    types: list[tuple[int, int]] = []  # (its skeletons, index of its first table)
-
-    def placed(n: int, commutative: bool):
-        for shapes in _skeleton_types(n, commutative):
-            bot, l, r, count = _place(n, shapes)
-            types.append((count, len(found)))
-            yield bot, l, r
-
-    _fill(cfg, placed, found)
-    ends = [start for _, start in types][1:] + [len(found)]
-    return sorted((key, count * size) for (count, start), end in zip(types, ends)
-                  for key, size in _classes(found[start:end]))
+    return sorted((key, count * size) for count, tables in _fill(cfg, _skeletons)
+                  for key, size in _classes(tables))
 
 
 @dataclass(frozen=True)

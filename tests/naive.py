@@ -6,9 +6,9 @@ than speed, so it can act as an independent check on the bitset code.
 ``search`` is a cell-by-cell table search, a different algorithm from the
 skeleton-first search and the reference for its results.
 ``labeled_search`` fills every labeled skeleton that ``labeled_skeletons``
-walks, with the fill of the class route: the labeled reference that the
-class route's classes, and the orbits ``brute_force_search`` lists, are
-checked against.
+walks, with the fill of the class route, and lists the tables it yields
+skeleton by skeleton: the labeled reference that the class route's
+classes, and the orbits ``brute_force_search`` lists, are checked against.
 ``quotient`` keys every table by all n! relabelings (``least_key``), the
 reference for the classes of ``quotient_by_iso`` and for its branch and
 bound representatives.  ``skeleton_type`` canonicalizes a labeled
@@ -208,9 +208,10 @@ def search(n: int, commutative: bool = True, budget: int | None = None):
 
 
 def labeled_skeletons(n: int, commutative: bool):
-    """Every labeled skeleton (bot, l, r), fewest units first, in which
+    """Every labeled skeleton (bot, l, r, 1), fewest units first, in which
     each non-empty H(e, e') has a non-empty H(e', e), as the hom-set lemma
-    of ``search_classes`` requires of a skeleton that carries a table."""
+    of ``search_classes`` requires of a skeleton that carries a table; the
+    count 1 stands for the skeleton alone, as ``_fill`` reads it."""
     for size in range(n + 1):
         for bot in combinations(range(n), size):
             rest = [x for x in range(n) if x not in bot]
@@ -221,15 +222,16 @@ def labeled_skeletons(n: int, commutative: bool):
                         l[x], r[x] = e, e2
                     hom = set(zip(l, r))
                     if all((e2, e) in hom for e, e2 in hom):
-                        yield bot, l, r
+                        yield bot, l, r, 1
 
 
 def labeled_search(cfg) -> list[FrobeniusCandidate]:
     """Every table on the labeled carrier that passes the axiom checker,
     sorted by (triples, sorted bot): each labeled skeleton filled as the
-    class route fills its one skeleton per type.  ``cfg.budget`` counts one
-    node per labeled skeleton and one per cell value tried."""
-    return sorted(_fill(cfg, labeled_skeletons, []),
+    class route fills its one skeleton per type, and the tables that
+    ``_fill`` yields per skeleton flattened into one list.  ``cfg.budget``
+    counts one node per labeled skeleton and one per cell value tried."""
+    return sorted((c for _, tables in _fill(cfg, labeled_skeletons) for c in tables),
                   key=lambda c: (c.triples(), tuple(sorted(c.bot))))
 
 

@@ -414,6 +414,16 @@ def test_search_carrier_cap():
         brute_force_search(SearchConfig(7))
 
 
+def test_search_and_quotient_share_one_cap(monkeypatch):
+    # lowering the search cap lowers the relabeling cap with it
+    monkeypatch.setattr(relfrob.classify, "SEARCH_CARRIER_LIMIT", 3)
+    with pytest.raises(ValueError, match="carrier size 4 exceeds the exhaustive search bound 3"):
+        search_classes(SearchConfig(4))
+    z4 = build_biproduct(enumerate_classical_structures(4)[0])
+    with pytest.raises(ValueError, match="carrier size 4 exceeds the relabeling bound 3"):
+        quotient_by_iso([z4])
+
+
 def test_negative_carriers_are_rejected():
     for call in (enumerate_classical_structures, enumerate_special_frobenius,
                  lambda n: brute_force_search(SearchConfig(n))):
@@ -674,7 +684,7 @@ def hom_sets(l, r) -> dict:
 
 def skeletons(n: int, commutative: bool) -> list[dict]:
     """The hom-sets of every labeled skeleton the labeled search keeps."""
-    return [hom_sets(l, r) for _, l, r in naive.labeled_skeletons(n, commutative)]
+    return [hom_sets(l, r) for _, l, r, _ in naive.labeled_skeletons(n, commutative)]
 
 
 def relabel_skeleton(hom: dict, tau) -> dict:
@@ -738,12 +748,12 @@ def test_generated_types_and_counts_match_the_labeled_skeletons(n, commutative):
     # every other type fails the equal-sizes or the transitivity lemma
     walked = collections.Counter(naive.skeleton_type(hom) for hom in skeletons(n, commutative))
     generated: dict = {}
-    for shapes in relfrob.classify._skeleton_types(n, commutative):
-        bot, l, r, count = relfrob.classify._place(n, shapes)
+    placed = list(relfrob.classify._skeletons(n, commutative))
+    for bot, l, r, count in placed:
         hom = hom_sets(l, r)
         assert sorted(bot) == sorted({e for e, _ in hom}) and all(l[e] == r[e] == e for e in bot)
         generated[naive.skeleton_type(hom)] = count
-    assert len(generated) == len(relfrob.classify._skeleton_types(n, commutative))
+    assert len(generated) == len(placed)
     assert {t: walked[t] for t in generated} == generated
     assert all(holds_the_type_lemmas(t) for t in generated)
     assert not any(holds_the_type_lemmas(t) for t in walked.keys() - generated.keys())
@@ -754,10 +764,8 @@ def test_generated_types_and_counts_match_the_labeled_skeletons(n, commutative):
 def test_every_labeled_table_has_a_generated_type(n, commutative):
     # the skeleton each labeled table defines, by the unit lemmas, has a
     # type the class route generates
-    generated = set()
-    for shapes in relfrob.classify._skeleton_types(n, commutative):
-        _, l, r, _ = relfrob.classify._place(n, shapes)
-        generated.add(naive.skeleton_type(hom_sets(l, r)))
+    generated = {naive.skeleton_type(hom_sets(l, r))
+                 for _, l, r, _ in relfrob.classify._skeletons(n, commutative)}
     for c in naive.labeled_search(SearchConfig(n, commutative)):
         l = {x: e for e, x, z in c.triples() if e in c.bot and z == x}
         r = {x: e for x, e, z in c.triples() if e in c.bot and z == x}

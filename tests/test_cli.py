@@ -361,6 +361,16 @@ def test_oversized_enumeration_exits_2_before_partitioning(capsys, monkeypatch):
                    f"{ENUM_CARRIER_LIMIT}\n")
 
 
+@pytest.mark.parametrize("command", ["brute-force", "cross-validate"])
+def test_oversized_search_exits_2_before_generating_types(capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the skeleton types of a carrier over the bound were generated")
+    monkeypatch.setattr(relfrob.classify, "_skeletons", refuse)
+    code, out, err = run(capsys, command, "--n", "100000")
+    assert code == 2 and out == ""
+    assert err == "error: carrier size 100000 exceeds the exhaustive search bound 6\n"
+
+
 def test_enumeration_bound_is_inclusive(capsys, monkeypatch):
     walked = []
     monkeypatch.setattr(relfrob.classify, "_structures_from_choices",
